@@ -14,7 +14,7 @@ report directory with CSVs); ``run-all`` iterates over every experiment.
 ``bench`` executes one declarative :class:`~repro.runtime.RunSpec` (from a
 JSON file and/or CLI overrides); ``sweep`` replicates a spec over a strategy
 grid and multiple seeds and reports mean ± std summaries.  Both accept
-``--executor {serial,thread,process,shm}`` and ``--workers N`` to fan client
+``--executor {serial,thread,shm}`` and ``--workers N`` to fan client
 training out over a worker pool — results are bit-identical across backends,
 only the wall clock changes — plus ``--store DIR``, ``--checkpoint-every N``
 and ``--resume`` for durable, crash-safe runs: a killed bench/sweep resumes
@@ -262,7 +262,7 @@ def _apply_spec_overrides(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
         if (args.executor or spec.executor) == "serial":
             raise ValueError(
                 "--workers has no effect with the serial executor; "
-                "add --executor thread|process|shm (or set executor in the spec)"
+                "add --executor thread|shm (or set executor in the spec)"
             )
         overrides["max_workers"] = args.workers
     config_overrides = dict(spec.config_overrides)

@@ -55,7 +55,7 @@ class _GeneralizingStrategy(Strategy):
     ) -> ClientResult:
         config = context.config
         # Private per-client stream: identical regardless of which execution
-        # backend (serial / thread / process) runs this update.
+        # backend (serial / thread / shm) runs this update.
         seed = context.client_seed(spec.client_id)
         rng = context.client_rng(spec.client_id)
 

@@ -19,7 +19,7 @@ does.  Real parallelism comes from the standard
 share a broadcast version form a *batch*, and a batch is (incrementally)
 flushed through the executor the moment one of its completions pops.  Because
 each client's update is a pure function of (broadcast weights, derived seed),
-when the flush happens — eagerly, lazily, serially or on a process pool —
+when the flush happens — eagerly, lazily, serially or on a worker pool —
 cannot change any value, so every backend produces bit-identical runs.
 
 **Checkpoint/resume.**  :meth:`snapshot` flushes pending batches (making all

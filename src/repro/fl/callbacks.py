@@ -59,7 +59,12 @@ class Callback:
 
     def on_round_end(self, sim: "FederatedSimulation", record: "RoundRecord",
                      results: List[ClientResult]) -> None:
-        """Called after aggregation, with the round's record and client results."""
+        """Called after aggregation, with the round's record and client results.
+
+        Synchronous rounds reduce through ``Strategy.aggregate_stream`` on
+        every backend, so each result's ``state`` is already released
+        (``None``); losses, sample counts and metadata remain.
+        """
 
     def on_event(self, sim, info: Dict[str, object]) -> None:
         """Called by the asynchronous loop for every virtual-clock occurrence.

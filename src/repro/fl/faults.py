@@ -161,6 +161,11 @@ class FaultPlan:
 class FaultPolicy:
     """How the server responds to client/worker failures in a round.
 
+    Dead workers need no setting of their own: the ``shm`` backend detects
+    them directly and fails their in-flight jobs as
+    :class:`~repro.fl.errors.WorkerDied`, counted and retried like any other
+    client failure.
+
     Parameters
     ----------
     max_retries:
@@ -186,10 +191,6 @@ class FaultPolicy:
         survivors, bitwise-equal to a survivors-only round — while at least
         this many clients succeed, and raises
         :class:`~repro.fl.errors.RoundFailedError` otherwise.
-    worker_timeout:
-        How long the process backend waits without *any* job completing
-        before declaring the in-flight jobs lost to dead workers (the shm
-        backend detects dead workers directly and ignores this).
     sanitize:
         Reject non-finite or out-of-layout client updates at the aggregation
         boundary (counted as per-client failures, retried under the policy)
@@ -200,7 +201,6 @@ class FaultPolicy:
     backoff_seconds: float = 0.0
     client_timeout: Optional[float] = None
     min_clients: int = 1
-    worker_timeout: float = 30.0
     sanitize: bool = True
 
     def __post_init__(self) -> None:
@@ -220,8 +220,6 @@ class FaultPolicy:
             raise ValueError(
                 f"min_clients must be a positive integer, got "
                 f"{self.min_clients!r}")
-        if not self.worker_timeout > 0:
-            raise ValueError("worker_timeout must be positive")
         if not isinstance(self.sanitize, bool):
             raise ValueError("sanitize must be a bool")
 
@@ -313,7 +311,7 @@ def run_tolerant_round(
     while wave:
         jobs = [(selected[pos], attempt) for pos, attempt in wave]
         outcomes = executor.run_attempts(strategy, model_fn, jobs,
-                                         global_state, context, policy)
+                                         global_state, context)
         retry: List[Tuple[int, int]] = []
         for (pos, attempt), outcome in zip(wave, outcomes):
             spec = selected[pos]

@@ -13,11 +13,11 @@ a pluggable :class:`~repro.fl.sampling.ClientSampler` whose draws depend only
 on ``(seed, round_index)`` so any round can be replayed in isolation.
 
 The per-client local-training step is fanned out through a pluggable
-:class:`~repro.fl.execution.ClientExecutor` (serial, thread pool, process
-pool, or shared-memory streaming pool); every backend produces bit-identical
-runs because client randomness
-derives from ``(seed, round, client_id)`` and results are reduced in canonical
-order (see :mod:`repro.fl.execution` for the full determinism contract).
+:class:`~repro.fl.execution.ClientExecutor` (serial, thread pool, or
+shared-memory streaming pool); every backend produces bit-identical runs
+because client randomness derives from ``(seed, round, client_id)`` and
+results are reduced in canonical order (see :mod:`repro.fl.execution` for the
+full determinism contract).
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ class FederatedSimulation:
     executor:
         Client-execution backend fanning out the per-client training step: a
         :class:`~repro.fl.execution.ClientExecutor` instance, a registry name
-        (``"serial"``, ``"thread"``, ``"process"``, ``"shm"``), or ``None``
-        for serial.
+        (``"serial"``, ``"thread"``, ``"shm"``), or ``None`` for serial.
         A bare name uses one worker per CPU core; pass a constructed instance
         (``create_executor("thread", max_workers=4)``) to cap the pool.
         Backends the simulation creates itself are closed at the end of each
@@ -350,13 +349,18 @@ class FederatedSimulation:
         # Record the selection order: it is the canonical reduction order the
         # strategies aggregate in, whatever order parallel workers finish in.
         self.context.round_selection = [spec.client_id for spec in selected]
-        # Server-side reduction runs under the configured training engine so
-        # "reference" rounds reproduce the seed dict-based aggregation exactly
-        # (the flat and reference reductions are bitwise-identical either way;
-        # see tests/fl/test_train_engine.py).
-        clients_span = None
+        # The three paths below differ only in where the round's results come
+        # from; all of them are reduced by one streaming aggregation in
+        # selection order (bitwise-identical to materializing the results
+        # and calling ``Strategy.aggregate``).  Server-side reduction runs
+        # under the configured training engine so "reference" rounds
+        # reproduce the seed dict-based aggregation exactly (the flat and
+        # reference reductions are bitwise-identical either way; see
+        # tests/fl/test_train_engine.py).
         policy = self.config.fault_policy
+        streaming = policy is None and getattr(self._executor, "streaming", False)
         report = None
+        cohort = selected
         if policy is not None:
             # Fault-tolerant path (repro.fl.faults): clients run in waves of
             # attempts — failures are collected instead of raised, retried up
@@ -365,51 +369,42 @@ class FederatedSimulation:
             # retries interleave, so the whole window traces as one span.
             with self._obs_span("clients", round=round_index, count=len(selected),
                                 tolerant=True) as clients_span:
-                survivors, results, report = run_tolerant_round(
+                cohort, results, report = run_tolerant_round(
                     self._executor, self.strategy, self.model_fn, selected,
                     self.global_state, self.context, policy)
             # Aggregation (and the strategies' canonical-order checks) must
             # see exactly the surviving cohort: a degraded round is then
             # bitwise-identical to a round that selected only the survivors.
-            self.context.round_selection = [spec.client_id for spec in survivors]
-            with self._obs_span("aggregate", round=round_index,
-                                survivors=len(survivors)):
-                with engine_scope(self.config):
-                    if getattr(self._executor, "streaming", False):
-                        self._global_state, results = self.strategy.aggregate_stream(
-                            self._global_state, survivors, iter(results),
-                            self.context)
-                    else:
-                        self._global_state = self.strategy.aggregate(
-                            self._global_state, results, self.context)
-                    self.strategy.on_round_end(self.context, results)
-        elif getattr(self._executor, "streaming", False):
+            self.context.round_selection = [spec.client_id for spec in cohort]
+            stream = iter(results)
+            window = self._obs_span("aggregate", round=round_index,
+                                    survivors=len(cohort))
+        elif streaming:
             # Streaming backend (e.g. "shm"): results are folded into the
-            # aggregate one at a time in selection order and released, so the
+            # aggregate one at a time as they arrive and released, so the
             # server's peak memory is O(model) regardless of clients/round.
-            # Bitwise-identical to the materialized path below.  Training and
-            # aggregation interleave, so the whole window traces as one
-            # "clients" span.
-            with self._obs_span("clients", round=round_index, count=len(selected),
-                                streaming=True) as clients_span:
-                stream = self._executor.iter_round(
-                    self.strategy, self.model_fn, selected, self.global_state, self.context
-                )
-                with engine_scope(self.config):
-                    self._global_state, results = self.strategy.aggregate_stream(
-                        self._global_state, selected, stream, self.context)
-                    self.strategy.on_round_end(self.context, results)
+            # Training and aggregation interleave, so the whole window traces
+            # as one "clients" span.
+            stream = self._executor.iter_round(
+                self.strategy, self.model_fn, selected, self.global_state, self.context
+            )
+            window = self._obs_span("clients", round=round_index,
+                                    count=len(selected), streaming=True)
         else:
             with self._obs_span("clients", round=round_index,
                                 count=len(selected)) as clients_span:
                 results: List[ClientResult] = self._executor.run_round(
                     self.strategy, self.model_fn, selected, self.global_state, self.context
                 )
-            with self._obs_span("aggregate", round=round_index):
-                with engine_scope(self.config):
-                    self._global_state = self.strategy.aggregate(
-                        self._global_state, results, self.context)
-                    self.strategy.on_round_end(self.context, results)
+            stream = iter(results)
+            window = self._obs_span("aggregate", round=round_index)
+        with window as window_span:
+            if streaming:
+                clients_span = window_span
+            with engine_scope(self.config):
+                self._global_state, results = self.strategy.aggregate_stream(
+                    self._global_state, cohort, stream, self.context)
+                self.strategy.on_round_end(self.context, results)
         if self.tracer is not None:
             merge_client_spans(
                 self.tracer,

@@ -44,13 +44,17 @@ class TestParser:
 
     def test_bench_executor_flags_parse(self):
         args = build_parser().parse_args(
-            ["bench", "--executor", "process", "--workers", "4"])
-        assert args.executor == "process"
+            ["bench", "--executor", "shm", "--workers", "4"])
+        assert args.executor == "shm"
         assert args.workers == 4
 
-    def test_bench_rejects_unknown_executor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--executor", "gpu"])
+    def test_bench_rejects_unknown_executor(self, capsys):
+        for name in ("gpu", "process"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "--executor", name])
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{name}'" in err
+            assert "'serial', 'shm', 'thread'" in err
 
     def test_sweep_executor_flags_parse(self):
         args = build_parser().parse_args(

@@ -3,15 +3,20 @@
 The guarantees under test (see :mod:`repro.fl.execution`):
 
 * a short FL run produces **bit-identical** history metrics and final global
-  weights on the serial, thread, and process backends, for any worker count;
+  weights on the serial, thread, and shm backends, for any worker count;
 * every registered strategy's aggregation is **permutation-invariant**: the
   order client results arrive in cannot change the aggregated state;
 * client randomness derives from ``(seed, round, client_id)`` — the exact
-  stream the pre-executor serial loop used — never from a shared generator.
+  stream the pre-executor serial loop used — never from a shared generator;
+* a failing round raises its first failure in *selection* order on every
+  backend, whatever order the clients finished in.
 """
 
 import copy
 import multiprocessing
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,10 +24,11 @@ import pytest
 from repro.core.ema import EMALossTracker
 from repro.fl.callbacks import Callback
 from repro.fl.config import FLConfig
+from repro.fl.errors import ClientFailure
 from repro.fl.execution import (
     EXECUTOR_REGISTRY,
-    ProcessExecutor,
     SerialExecutor,
+    SharedMemoryExecutor,
     ThreadExecutor,
     client_rng,
     create_executor,
@@ -35,12 +41,15 @@ from repro.fl.training import local_train
 from repro.nn.serialization import get_weights, states_equal
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
 PARALLEL_BACKENDS = [
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")),
+    pytest.param("shm", id="shm",
+                 marks=pytest.mark.skipif(not HAS_SHM,
+                                          reason="shm executor needs Linux fork + /dev/shm")),
 ]
+ALL_BACKENDS = [pytest.param("serial", id="serial"), *PARALLEL_BACKENDS]
 
 AGGREGATING_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold"]
 ALL_STRATEGIES = AGGREGATING_STRATEGIES + ["heteroswitch"]
@@ -132,12 +141,15 @@ class TestCrossBackendEquivalence:
 
 class TestExecutorRegistry:
     def test_backends_registered(self):
-        assert {"serial", "thread", "process", "shm"} <= set(EXECUTOR_REGISTRY)
+        assert set(EXECUTOR_REGISTRY) == {"serial", "thread", "shm"}
 
     def test_create_executor_types(self):
         assert isinstance(create_executor("serial"), SerialExecutor)
         assert isinstance(create_executor("thread", max_workers=2), ThreadExecutor)
-        assert isinstance(create_executor("process"), ProcessExecutor)
+        assert isinstance(create_executor("shm", max_workers=2), SharedMemoryExecutor)
+        with pytest.raises(KeyError, match=r"unknown executor 'process'.*"
+                                           r"\['serial', 'shm', 'thread'\]"):
+            create_executor("process")
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(KeyError, match="serial"):
@@ -224,12 +236,31 @@ class _FailFastStrategy:
         return getattr(self._inner, name)
 
     def client_update(self, model, spec, global_state, context):
-        import time
-
         if spec.client_id == self.fail_client:
             raise RuntimeError("boom: synthetic client failure")
         time.sleep(self.delay)
         self.trained.append(spec.client_id)
+        return self._inner.client_update(model, spec, global_state, context)
+
+
+class _SlowAndFastFailures:
+    """FedAvg where one client sleeps then fails and another fails at once."""
+
+    def __init__(self, slow_client, fast_client, delay=0.5):
+        self._inner = create_strategy("fedavg")
+        self.slow_client = slow_client
+        self.fast_client = fast_client
+        self.delay = delay
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def client_update(self, model, spec, global_state, context):
+        if spec.client_id == self.slow_client:
+            time.sleep(self.delay)
+            raise RuntimeError("slow synthetic failure")
+        if spec.client_id == self.fast_client:
+            raise RuntimeError("fast synthetic failure")
         return self._inner.client_update(model, spec, global_state, context)
 
 
@@ -286,6 +317,20 @@ class TestRoundFailFast:
             results = executor.run_round(create_strategy("fedavg"), model_fn,
                                          specs, global_state, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_first_failure_in_selection_order(self, backend):
+        """Client 1 fails slowly while client 3 fails at once: the round
+        raises client 1's failure on every backend, not the first to arrive."""
+        specs, model_fn, context = self._make_round(num_clients=4)
+        strategy = _SlowAndFastFailures(slow_client=specs[1].client_id,
+                                        fast_client=specs[3].client_id)
+        global_state = get_weights(model_fn())
+        with create_executor(backend, max_workers=2) as executor:
+            with pytest.raises(ClientFailure) as excinfo:
+                executor.run_round(strategy, model_fn, specs, global_state, context)
+        assert excinfo.value.client_id == specs[1].client_id
+        assert "slow synthetic failure" in str(excinfo.value)
 
 
 class _EntropyConsumer(Callback):
@@ -357,7 +402,7 @@ class TestDerivedClientStreams:
 class TestReadOnlyClientContext:
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
     def test_client_update_never_writes_context(self, strategy_name):
-        """The contract that makes process workers safe: client steps only read."""
+        """The contract that makes pool workers safe: client steps only read."""
         strategy, global_state, _, context = make_round_results(strategy_name)
         assert context.client_storage == {}
         assert context.server_storage == {}

@@ -66,8 +66,6 @@ requires_shm = pytest.mark.skipif(
 ALL_BACKENDS = [
     pytest.param("serial", id="serial"),
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork")),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM, reason="needs shm")),
 ]
@@ -174,6 +172,9 @@ class TestFaultPlan:
             FaultPolicy(min_clients=0)
         with pytest.raises(ValueError, match="client_timeout"):
             FaultPolicy(client_timeout=0.0)
+        # No stall timeout: the shm pool detects dead workers itself.
+        with pytest.raises(TypeError, match="worker_timeout"):
+            make_config(fault_policy={"max_retries": 1, "worker_timeout": 5.0})
 
     def test_config_coerces_dicts(self):
         config = make_config(
@@ -246,8 +247,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = executor.run_attempts(
-                strategy, model_fn, jobs, get_weights(model_fn()), context,
-                config.fault_policy)
+                strategy, model_fn, jobs, get_weights(model_fn()), context)
         for position, outcome in enumerate(outcomes):
             if position == fail_position:
                 assert isinstance(outcome, ClientFailure)
@@ -275,23 +275,19 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = executor.run_attempts(
-                strategy, model_fn, jobs, get_weights(model_fn()), context,
-                config.fault_policy)
+                strategy, model_fn, jobs, get_weights(model_fn()), context)
         assert isinstance(outcomes[0], ClientFailure)
         assert isinstance(outcomes[1], ClientResult)
         assert outcomes[1].client_id == selected[1].client_id
         assert isinstance(outcomes[2], ClientFailure)
 
     @pytest.mark.parametrize("backend", [
-        pytest.param("process", id="process",
-                     marks=pytest.mark.skipif(not HAS_FORK, reason="fork")),
         pytest.param("shm", id="shm", marks=requires_shm)])
     def test_worker_exit_becomes_worker_died(self, backend):
         config = make_config(
             clients_per_round=2,
             faults=FaultPlan(seed=0, kill_rate=1.0),
-            fault_policy=FaultPolicy(max_retries=0, min_clients=1,
-                                     worker_timeout=5.0))
+            fault_policy=FaultPolicy(max_retries=0, min_clients=1))
         clients = make_population()
         context = FLContext(config=config, ema=EMALossTracker())
         context.round_index = 0
@@ -301,8 +297,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = executor.run_attempts(
-                strategy, model_fn, jobs, get_weights(model_fn()), context,
-                config.fault_policy)
+                strategy, model_fn, jobs, get_weights(model_fn()), context)
         assert all(isinstance(outcome, WorkerDied) for outcome in outcomes)
         assert {outcome.kind for outcome in outcomes} == {"worker_died"}
 
@@ -322,7 +317,7 @@ class TestExecutorFailurePaths:
         with create_executor(backend, max_workers=2) as executor:
             outcomes = executor.run_attempts(
                 strategy, model_fn, [(spec, 0) for spec in selected],
-                get_weights(model_fn()), context, config.fault_policy)
+                get_weights(model_fn()), context)
         assert all(isinstance(outcome, RoundTimeout) for outcome in outcomes)
         assert "deadline" in str(outcomes[0])
 
@@ -421,8 +416,6 @@ class TestChaosDeterminism:
             faults=FaultPlan(seed=21, crash_rate=0.25, nan_rate=0.2),
             fault_policy=FaultPolicy(max_retries=1, min_clients=1))
         backends = ["serial", "thread"]
-        if HAS_FORK:
-            backends.append("process")
         if HAS_SHM:
             backends.append("shm")
         runs = {backend: run_sim(config, backend) for backend in backends}

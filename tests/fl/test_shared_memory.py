@@ -36,7 +36,6 @@ from repro.fl.callbacks import Callback
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     EXECUTOR_REGISTRY,
-    ProcessExecutor,
     SerialExecutor,
     SharedMemoryExecutor,
     ThreadExecutor,
@@ -46,13 +45,13 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FedAvg, FLContext, consume_stream
 from repro.fl.training import ClientResult
+from repro.nn.engine import engine_scope
 from repro.nn.models import SimpleMLP
 from repro.nn.serialization import get_weights, state_fingerprint, states_equal
 
+HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 requires_shm = pytest.mark.skipif(
-    not HAS_FORK or sys.platform == "darwin" or not os.path.isdir("/dev/shm"),
-    reason="shm executor needs Linux fork + /dev/shm",
-)
+    not HAS_SHM, reason="shm executor needs Linux fork + /dev/shm")
 
 ALL_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold", "heteroswitch"]
 
@@ -291,7 +290,7 @@ class TestShmLifecycle:
 class TestStreamingProtocol:
     def test_streaming_flags(self):
         assert SharedMemoryExecutor.streaming is True
-        for backend in [SerialExecutor, ThreadExecutor, ProcessExecutor]:
+        for backend in [SerialExecutor, ThreadExecutor]:
             assert backend.streaming is False
 
     def test_registry_contains_shm(self):
@@ -301,17 +300,26 @@ class TestStreamingProtocol:
 
     def test_iter_round_default_matches_run_round(self, tiny_bundle, tiny_clients,
                                                   tiny_fl_config, tiny_model_fn):
-        """Every backend supports iter_round; the default yields run_round."""
+        """On every backend, run_round, iter_round and attempt-0 run_attempts
+        deliver the same clients in selection order with bitwise-equal states:
+        all three are views of the backend's one attempt stream."""
         specs, global_state, context, model_fn = make_round(3)
         strategy = create_strategy("fedavg")
-        with create_executor("serial") as executor:
-            eager = executor.run_round(strategy, model_fn, specs,
-                                       global_state, context)
-            lazy = list(executor.iter_round(strategy, model_fn, specs,
-                                            global_state, context))
-        assert [r.client_id for r in lazy] == [r.client_id for r in eager]
-        for a, b in zip(eager, lazy):
-            assert states_equal(a.state, b.state)
+        expected = [spec.client_id for spec in specs]
+        for backend in ["serial", "thread"] + (["shm"] if HAS_SHM else []):
+            with create_executor(backend, max_workers=2) as executor:
+                eager = executor.run_round(strategy, model_fn, specs,
+                                           global_state, context)
+                lazy = list(executor.iter_round(strategy, model_fn, specs,
+                                                global_state, context))
+                attempts = executor.run_attempts(
+                    strategy, model_fn, [(spec, 0) for spec in specs],
+                    global_state, context)
+            assert [r.client_id for r in eager] == expected, backend
+            for outcomes in (lazy, attempts):
+                assert [r.client_id for r in outcomes] == expected, backend
+                for a, b in zip(eager, outcomes):
+                    assert states_equal(a.state, b.state), backend
 
     @requires_shm
     def test_custom_aggregate_override_still_runs(self, tiny_bundle, tiny_clients,
@@ -353,6 +361,62 @@ class TestStreamingProtocol:
                                 client_id=spec.client_id) for spec in specs]
         with pytest.raises(RuntimeError, match="num_samples"):
             list(consume_stream(specs, iter(results)))
+
+
+def _flatten_tree(tree, prefix=""):
+    """A nested storage tree as a flat ``{path: array}`` dict."""
+    flat = {}
+    for key, value in tree.items():
+        path = f"{prefix}/{key}"
+        if isinstance(value, dict):
+            flat.update(_flatten_tree(value, path))
+        else:
+            flat[path] = np.asarray(value)
+    return flat
+
+
+class TestStreamMatchesMaterialized:
+    """Every simulation round reduces through ``aggregate_stream``, whatever
+    the backend; this pins it bitwise to each strategy's materialized
+    ``aggregate`` (the reduction tests/fl/test_strategies.py unit-tests),
+    server-side effects (control variates, EMA) included."""
+
+    @pytest.mark.parametrize("engine", ["flat", "reference"])
+    @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
+    def test_aggregate_stream_equals_aggregate(self, strategy_name, engine):
+        specs, initial_state, base_context, model_fn = make_round(4)
+        config = dataclasses.replace(base_context.config, train_engine=engine)
+        # Round 1 selects a reordered subset: SCAFFOLD's participation
+        # fraction and the variates carried over from round 0 come into play.
+        selections = [specs, [specs[3], specs[1]]]
+        outcomes = {}
+        for mode in ["materialized", "streaming"]:
+            strategy = create_strategy(strategy_name)
+            context = FLContext(config=config, ema=EMALossTracker())
+            state = initial_state
+            rounds = []
+            with SerialExecutor() as executor:
+                for round_index, selected in enumerate(selections):
+                    context.round_index = round_index
+                    context.round_selection = [spec.client_id for spec in selected]
+                    results = executor.run_round(strategy, model_fn, selected,
+                                                 state, context)
+                    with engine_scope(config):
+                        if mode == "materialized":
+                            state = strategy.aggregate(state, results, context)
+                        else:
+                            state, results = strategy.aggregate_stream(
+                                state, selected, iter(results), context)
+                        strategy.on_round_end(context, results)
+                    rounds.append((state_fingerprint(state), context.ema.history,
+                                   _flatten_tree(strategy.state_dict(context))))
+            outcomes[mode] = rounds
+        for round_index, (materialized, streaming) in enumerate(
+                zip(outcomes["materialized"], outcomes["streaming"])):
+            assert materialized[0] == streaming[0], round_index
+            assert materialized[1] == streaming[1], round_index
+            assert list(materialized[2]) == list(streaming[2]), round_index
+            assert states_equal(materialized[2], streaming[2]), round_index
 
 
 class TestStreamingMemoryFlat:
