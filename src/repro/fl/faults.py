@@ -239,7 +239,7 @@ def sanitize_result(result: "ClientResult", layout: StateLayout) -> Optional[str
     """
     state = result.state
     if state is None:
-        return None  # already folded into a streaming accumulator
+        return "missing state"
     if list(state) != layout.keys:
         missing = set(layout.keys) - set(state)
         extra = set(state) - set(layout.keys)

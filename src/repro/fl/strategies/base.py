@@ -4,8 +4,12 @@ A *strategy* owns the two points where FL algorithms differ:
 
 * ``client_update`` — how a selected client trains on its local data given the
   broadcast global weights, and
-* ``aggregate`` — how the server combines the returned client results into the
-  next global model.
+* ``_reduce`` — how the server folds the returned client results, one at a
+  time in canonical order, into the next global model.
+
+``_reduce`` is the one server-side hook: :meth:`Strategy.aggregate` (a
+materialized list) and :meth:`Strategy.aggregate_stream` (results arriving
+one at a time) are thin adapters over it that no strategy overrides.
 
 Per-round shared state (the EMA loss tracker, per-client persistent storage
 such as SCAFFOLD's control variates, the round index) travels in an
@@ -16,7 +20,7 @@ concurrently with other clients of the same round — on threads or in forked
 worker processes — so it must treat the context as **read-only** and derive
 any randomness from its private stream (:meth:`FLContext.client_rng`), never
 from shared mutable generators.  Per-client state updates travel back in
-``ClientResult.metadata`` and are applied server-side in ``aggregate`` /
+``ClientResult.metadata`` and are applied server-side in ``_reduce`` /
 ``on_round_end``.  Aggregation reduces client results in *canonical order*
 (:func:`canonical_results`) so the global update is invariant to any
 permutation of the returned results.
@@ -25,7 +29,7 @@ permutation of the returned results.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +37,7 @@ import numpy as np
 from ...core.ema import EMALossTracker
 from ...data.partition import ClientSpec
 from ...nn.layers import Module
-from ...nn.serialization import StreamingAverager, average_states
+from ...nn.serialization import StreamingAverager
 from ..config import FLConfig
 from ..execution import derive_client_seed
 from ..training import ClientResult, local_train
@@ -48,7 +52,7 @@ StateDict = Dict[str, np.ndarray]
 class FLContext:
     """Mutable state shared across rounds of one FL simulation.
 
-    Strategies may mutate it only on the server side of a round (``aggregate``
+    Strategies may mutate it only on the server side of a round (``_reduce``
     / ``on_round_end``); during ``client_update`` it is read-only shared state
     that worker threads/processes observe as a start-of-round snapshot.
     """
@@ -164,16 +168,18 @@ class Strategy:
         results: List[ClientResult],
         context: FLContext,
     ) -> StateDict:
-        """Default aggregation: sample-count weighted averaging (FedAvg).
+        """Reduce a list of client results in canonical order; return the state.
 
-        Results are reduced in canonical order, so the aggregate is invariant
-        to any permutation of the collected client updates.
+        The result is invariant to any permutation of ``results``.  The
+        reduction runs on shallow copies, so the caller's results keep their
+        states and metadata; effects on ``context`` still apply.
         """
         if not results:
             raise ValueError("cannot aggregate an empty list of client results")
-        ordered = canonical_results(results, context)
-        weights = [result.num_samples for result in ordered]
-        return average_states([result.state for result in ordered], weights)
+        ordered = [replace(result, metadata=dict(result.metadata))
+                   for result in canonical_results(results, context)]
+        counts = [result.num_samples for result in ordered]
+        return self._reduce(global_state, counts, ordered, context)[0]
 
     def aggregate_stream(
         self,
@@ -184,39 +190,39 @@ class Strategy:
     ) -> Tuple[StateDict, List[ClientResult]]:
         """Aggregate a round whose results arrive one at a time.
 
-        ``stream`` yields :class:`ClientResult`\\ s in selection order (the
-        canonical reduction order); each result's weights are folded into the
-        accumulator and released before the next arrives, so the server's
-        peak memory is independent of clients/round.  Returns the new global
-        state plus the consumed results with their ``state`` dropped (losses,
-        sample counts and metadata survive for ``on_round_end`` and the
-        round record) — bitwise-identical to materializing the full list and
-        calling :meth:`aggregate`.
-
-        The base implementation streams the FedAvg reduction.  Its
-        sample-count weights are computed *up front* from the selection
-        (``num_samples == len(spec.dataset)`` for every strategy built on
-        ``local_train``; enforced per result by :func:`consume_stream`)
-        because the reference reduction normalizes weights before the first
-        multiply-add.  Strategies that override :meth:`aggregate` without
-        providing their own streaming reduction fall back to materializing
-        the stream — correct, just not O(1).
+        ``stream`` yields results in selection order (the canonical order),
+        checked by :func:`consume_stream`; each is folded and released before
+        the next arrives, so server memory is independent of clients/round.
+        Returns the new state plus the consumed results, ``state`` dropped —
+        bitwise-identical to :meth:`aggregate`.  Weights come up front from
+        the selection because FedAvg normalizes them before the first
+        multiply-add.
         """
         if not selected:
             raise ValueError("cannot aggregate an empty list of client results")
-        if type(self).aggregate is not Strategy.aggregate:
-            # The strategy customized the materialized reduction; preserve its
-            # semantics exactly rather than silently bypassing the override.
-            results = list(stream)
-            return self.aggregate(global_state, results, context), results
-        averager = StreamingAverager(
-            len(selected), [len(spec.dataset) for spec in selected])
-        results: List[ClientResult] = []
-        for result in consume_stream(selected, stream):
+        return self._reduce(
+            global_state, [len(spec.dataset) for spec in selected],
+            consume_stream(selected, stream), context)
+
+    def _reduce(
+        self,
+        global_state: StateDict,
+        sample_counts: Sequence[int],
+        ordered: Iterable[ClientResult],
+        context: FLContext,
+    ) -> Tuple[StateDict, List[ClientResult]]:
+        """The server update; the default is FedAvg's weighted average.
+
+        ``ordered`` (possibly lazy) yields one result per ``sample_counts``
+        entry in canonical order; each ``state`` is released once folded.
+        """
+        averager = StreamingAverager(len(sample_counts), sample_counts)
+        consumed: List[ClientResult] = []
+        for result in ordered:
             averager.add(result.state)
             result.state = None
-            results.append(result)
-        return averager.finalize(), results
+            consumed.append(result)
+        return averager.finalize(), consumed
 
     def on_round_end(self, context: FLContext, results: List[ClientResult]) -> None:
         """Hook after aggregation; default updates the EMA loss tracker (Eq. 1)."""

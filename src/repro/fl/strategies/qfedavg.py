@@ -18,7 +18,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ...data.partition import ClientSpec
 from ...nn.engine import current_engine
 from ...nn.serialization import (
     StateLayout,
@@ -29,7 +28,7 @@ from ...nn.serialization import (
     zeros_like_state,
 )
 from ..training import ClientResult
-from .base import FLContext, StateDict, Strategy, canonical_results, consume_stream
+from .base import FLContext, StateDict, Strategy
 
 __all__ = ["QFedAvg"]
 
@@ -44,54 +43,21 @@ class QFedAvg(Strategy):
             raise ValueError(f"q must be non-negative, got {q}")
         self.q = q
 
-    def aggregate(
-        self,
-        global_state: StateDict,
-        results: List[ClientResult],
-        context: FLContext,
-    ) -> StateDict:
-        if not results:
-            raise ValueError("cannot aggregate an empty list of client results")
-        # Canonical order makes the floating-point reduction permutation-invariant.
-        new_state, _ = self._reduce(
-            global_state, canonical_results(results, context), context)
-        return new_state
-
-    def aggregate_stream(
-        self,
-        global_state: StateDict,
-        selected: Sequence[ClientSpec],
-        stream: Iterable[ClientResult],
-        context: FLContext,
-    ) -> Tuple[StateDict, List[ClientResult]]:
-        """Streaming q-FedAvg: one accumulator pass, O(1) in clients/round.
-
-        The q-FFL normalizer ``h_sum`` is applied once after the loop, so
-        unlike FedAvg's weight normalization nothing about the reduction
-        needs to be known up front — the materialized and streaming paths
-        share :meth:`_reduce` verbatim.
-        """
-        if not selected:
-            raise ValueError("cannot aggregate an empty list of client results")
-        return self._reduce(
-            global_state, consume_stream(selected, stream), context,
-            drop_states=True)
-
     def _reduce(
         self,
         global_state: StateDict,
+        sample_counts: Sequence[int],
         ordered: Iterable[ClientResult],
         context: FLContext,
-        drop_states: bool = False,
     ) -> Tuple[StateDict, List[ClientResult]]:
-        """The q-FFL server update over results in canonical order.
+        """The q-FFL server update; ``sample_counts`` is unused.
 
-        ``ordered`` may be a lazy stream: each result's state is folded into
-        the accumulator as it arrives (and released when ``drop_states``).
+        ``h_sum`` is applied once after the loop, so each state is folded as
+        it arrives and released.
         """
         lipschitz = 1.0 / context.config.learning_rate
         if current_engine() == "reference":
-            return self._reduce_reference(global_state, ordered, lipschitz, drop_states)
+            return self._reduce_reference(global_state, ordered, lipschitz)
 
         # Flat reduction over (n_clients, P): every step below is the exact
         # whole-vector form of the dict-based reference (kept as the pinned
@@ -111,8 +77,7 @@ class QFedAvg(Strategy):
         consumed: List[ClientResult] = []
         for result in ordered:
             layout.pack(result.state, out=delta_buf)
-            if drop_states:
-                result.state = None
+            result.state = None
             consumed.append(result)
             delta = (global_vec - delta_buf) * lipschitz
             # Use the client's *initial* loss F_k (loss of the global model on the
@@ -139,7 +104,6 @@ class QFedAvg(Strategy):
         global_state: StateDict,
         ordered: Iterable[ClientResult],
         lipschitz: float,
-        drop_states: bool,
     ) -> Tuple[StateDict, List[ClientResult]]:
         """The seed dict-based aggregation, kept as the pinned golden path."""
         weighted_delta_sum = zeros_like_state(global_state)
@@ -147,8 +111,7 @@ class QFedAvg(Strategy):
         consumed: List[ClientResult] = []
         for result in ordered:
             delta = scale_state(subtract_states(global_state, result.state), lipschitz)
-            if drop_states:
-                result.state = None
+            result.state = None
             consumed.append(result)
             loss = max(result.init_loss, 1e-10)
             loss_pow_q = loss ** self.q

@@ -13,8 +13,8 @@ client deltas for both weights and control variates.
 Parallel-execution audit: ``client_update`` only *reads* the control variates
 from the shared context (missing entries are treated as zeros without being
 written), and ships the refreshed client variate back in
-``ClientResult.metadata`` — the server applies it in :meth:`Scaffold.
-on_round_end`.  This keeps the client step pure so it can run on any
+``ClientResult.metadata`` — the server commits it in :meth:`Scaffold.
+_reduce`.  This keeps the client step pure so it can run on any
 :mod:`repro.fl.execution` backend, including forked worker processes whose
 context mutations would otherwise be silently lost.
 """
@@ -30,13 +30,12 @@ from ...nn.layers import Module
 from ...nn.serialization import (
     StreamingAverager,
     add_states,
-    average_states,
     scale_state,
     subtract_states,
     zeros_like_state,
 )
-from ..training import ClientResult, local_train
-from .base import FLContext, StateDict, Strategy, canonical_results, consume_stream
+from ..training import ClientResult, broadcast_weights, local_train
+from .base import FLContext, StateDict, Strategy
 
 __all__ = ["Scaffold"]
 
@@ -61,14 +60,12 @@ class Scaffold(Strategy):
         config = context.config
         seed = context.client_seed(spec.client_id)
 
-        from ..training import broadcast_weights
-
         arena = broadcast_weights(model, global_state, config)
         param_template = _parameter_state(model)
 
         # Read-only context access: absent control variates mean zeros, but the
         # shared storage is never written from the (possibly concurrent) client
-        # step — the server materialises state in aggregate / on_round_end.
+        # step — the server materialises state in _reduce.
         server_c: StateDict = context.server_storage.get("scaffold_c")
         if server_c is None:
             server_c = zeros_like_state(param_template)
@@ -109,8 +106,8 @@ class Scaffold(Strategy):
         result.metadata["device"] = spec.device
 
         # Refresh the client control variate (option II).  Both the delta (for
-        # the server variate update) and the exact new value (applied to this
-        # client's storage in on_round_end) travel back via metadata.
+        # the server variate update) and the exact new value (committed to
+        # this client's storage in _reduce) travel back via metadata.
         num_steps = max(steps["count"], 1)
         local_params = {name: param.data.copy() for name, param in named_params.items()}
         global_params = {name: global_state[name] for name in param_template}
@@ -120,81 +117,35 @@ class Scaffold(Strategy):
         result.metadata["new_c_i"] = new_client_c
         return result
 
-    def aggregate(
+    def _reduce(
         self,
         global_state: StateDict,
-        results: List[ClientResult],
-        context: FLContext,
-    ) -> StateDict:
-        new_state = super().aggregate(global_state, results, context)
-        # Update the server control variate with the average client delta, scaled
-        # by the participation fraction (|S| / N).  Canonical order keeps the
-        # float reduction permutation-invariant.
-        c_deltas = [result.metadata["c_delta"]
-                    for result in canonical_results(results, context)]
-        mean_delta = average_states(c_deltas)
-        server_c: StateDict = context.server_storage.get("scaffold_c")
-        if server_c is None:
-            server_c = zeros_like_state(mean_delta)
-        fraction = len(results) / context.config.num_clients
-        context.server_storage["scaffold_c"] = add_states(server_c, scale_state(mean_delta, fraction))
-        return new_state
-
-    def aggregate_stream(
-        self,
-        global_state: StateDict,
-        selected: Sequence[ClientSpec],
-        stream: Iterable[ClientResult],
+        sample_counts: Sequence[int],
+        ordered: Iterable[ClientResult],
         context: FLContext,
     ) -> Tuple[StateDict, List[ClientResult]]:
-        """Streaming SCAFFOLD: fold weights *and* c-deltas in a single pass.
+        """Fold weights and c-deltas in one pass, then move ``c``.
 
-        The materialized path runs two full passes (the sample-weighted
-        weight average, then the uniform c-delta average).  Interleaving them
-        per client leaves each accumulator's own multiply-add sequence
-        untouched, so the result is bitwise-identical with two accumulators
-        plus two pack buffers — O(1) in clients/round.
-
-        Each client's refreshed control variate is committed to the context
-        as its result streams in (instead of in ``on_round_end``); no reader
-        observes the storage between those two points — a round never selects
-        the same client twice, so a still-training client cannot see another
-        client's commit — and the metadata copies are released immediately,
-        keeping the per-round peak at the persistent-storage floor the
-        algorithm itself requires.
+        The two accumulators interleave per client without changing either
+        one's multiply-add order.  Each client's ``c_i`` is committed as its
+        result arrives: a round never selects a client twice, so no client
+        still training can observe another's commit.  ``c`` then moves by
+        the mean delta times the participation fraction ``|S| / N``.
         """
-        if not selected:
-            raise ValueError("cannot aggregate an empty list of client results")
-        state_avg = StreamingAverager(
-            len(selected), [len(spec.dataset) for spec in selected])
-        delta_avg = StreamingAverager(len(selected))
+        state_avg = StreamingAverager(len(sample_counts), sample_counts)
+        delta_avg = StreamingAverager(len(sample_counts))
         consumed: List[ClientResult] = []
-        for result in consume_stream(selected, stream):
+        for result in ordered:
             state_avg.add(result.state)
             result.state = None
             delta_avg.add(result.metadata.pop("c_delta"))
-            context.storage_for(result.client_id)["c_i"] = \
-                result.metadata.pop("new_c_i")
+            context.storage_for(result.client_id)["c_i"] = result.metadata.pop("new_c_i")
             consumed.append(result)
-        new_state = state_avg.finalize()
         mean_delta = delta_avg.finalize()
         server_c: StateDict = context.server_storage.get("scaffold_c")
         if server_c is None:
             server_c = zeros_like_state(mean_delta)
-        fraction = len(selected) / context.config.num_clients
+        fraction = len(sample_counts) / context.config.num_clients
         context.server_storage["scaffold_c"] = add_states(
             server_c, scale_state(mean_delta, fraction))
-        return new_state, consumed
-
-    def on_round_end(self, context: FLContext, results: List[ClientResult]) -> None:
-        """Apply each client's refreshed control variate, then update the EMA.
-
-        Streaming rounds commit the variates (and drop them from metadata) in
-        :meth:`aggregate_stream`, so the pop below finds nothing and only the
-        EMA update runs.
-        """
-        for result in results:
-            new_c_i = result.metadata.pop("new_c_i", None)
-            if new_c_i is not None:
-                context.storage_for(result.client_id)["c_i"] = new_c_i
-        super().on_round_end(context, results)
+        return state_avg.finalize(), consumed

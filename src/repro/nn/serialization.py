@@ -30,7 +30,6 @@ __all__ = [
     "vector_to_state_dict",
     "get_weights",
     "set_weights",
-    "clone_state",
     "states_equal",
     "states_allclose",
     "zeros_like_state",
@@ -154,17 +153,6 @@ def vector_to_state_dict(vector: np.ndarray, template: StateDict) -> StateDict:
     if offset != vector.size:
         raise ValueError("vector length does not match template")
     return result
-
-
-def clone_state(state: StateDict) -> StateDict:
-    """Deep copy of a state dict as contiguous, owned arrays.
-
-    Used to build pickle-safe client payloads for the process execution
-    backend: the copies alias no model buffers (a worker's scratch model keeps
-    training after the result is shipped) and are C-contiguous, so pickling is
-    a flat memory copy.
-    """
-    return {key: np.asarray(value).copy() for key, value in state.items()}
 
 
 def states_equal(a: StateDict, b: StateDict) -> bool:

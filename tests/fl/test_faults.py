@@ -51,7 +51,7 @@ from repro.fl.faults import (
 from repro.fl.sampling import ClientSampler
 from repro.fl.simulation import FederatedSimulation, RoundRecord
 from repro.fl.strategies import create_strategy
-from repro.fl.strategies.base import FLContext
+from repro.fl.strategies.base import FedAvg, FLContext
 from repro.fl.training import ClientResult
 from repro.nn.models import SimpleMLP
 from repro.nn.serialization import StateLayout, get_weights, states_equal
@@ -120,6 +120,19 @@ class FixedSampler(ClientSampler):
 
     def select(self, num_clients, k, round_index, seed):
         return list(self.indices)
+
+
+class _StatelessClient(FedAvg):
+    """Trains normally but returns no state for one designated client."""
+
+    def __init__(self, client_id):
+        self.client_id = client_id
+
+    def client_update(self, model, spec, global_state, context):
+        result = super().client_update(model, spec, global_state, context)
+        if spec.client_id == self.client_id:
+            result.state = None
+        return result
 
 
 def run_sim(config, backend, strategy_name="fedavg", sampler=None,
@@ -509,8 +522,25 @@ class TestSanitization:
 
         assert "losses" in sanitize_result(
             dataclasses.replace(ok, train_loss=float("nan")), layout)
-        # Streaming results already folded into an accumulator pass through.
-        assert sanitize_result(dataclasses.replace(ok, state=None), layout) is None
+        # A result without a state is rejected like any other bad update.
+        assert "missing state" in sanitize_result(
+            dataclasses.replace(ok, state=None), layout)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_missing_state_rejected_alike_on_every_backend(self, backend):
+        """A ``state=None`` update is one sanitize failure everywhere, not a
+        crash on the in-process backends."""
+        config = make_config(num_rounds=1, clients_per_round=NUM_CLIENTS,
+                             fault_policy=FaultPolicy(max_retries=0))
+        clients = make_population(config.num_clients)
+        with create_executor(backend, max_workers=2) as executor:
+            sim = FederatedSimulation(model_fn, clients, make_test_sets(),
+                                      _StatelessClient(1), config,
+                                      sampler=FixedSampler(range(NUM_CLIENTS)),
+                                      executor=executor)
+            history = sim.run()
+        assert history.rounds[0].failure_kinds == {"sanitize": 1}
+        assert history.rounds[0].dropped_clients == [1]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_poisoned_updates_rejected_and_recovered(self, backend):

@@ -114,17 +114,6 @@ class _CrashingStrategy(FedAvg):
         return super().client_update(model, spec, global_state, context)
 
 
-class _MarkedFedAvg(FedAvg):
-    """Overrides aggregate without a streaming reduction of its own."""
-
-    def __init__(self):
-        self.aggregate_calls = 0
-
-    def aggregate(self, global_state, results, context):
-        self.aggregate_calls += 1
-        return super().aggregate(global_state, results, context)
-
-
 class _RaisingCallback(Callback):
     def on_round_end(self, sim, record, results):
         raise RuntimeError("observer failure")
@@ -321,22 +310,6 @@ class TestStreamingProtocol:
                 for a, b in zip(eager, outcomes):
                     assert states_equal(a.state, b.state), backend
 
-    @requires_shm
-    def test_custom_aggregate_override_still_runs(self, tiny_bundle, tiny_clients,
-                                                  tiny_fl_config, tiny_model_fn):
-        """A strategy with its own aggregate is materialized, not bypassed."""
-        marked = _MarkedFedAvg()
-        executor = create_executor("shm", max_workers=2)
-        with executor:
-            sim = FederatedSimulation(tiny_model_fn, tiny_clients,
-                                      tiny_bundle.test, marked, tiny_fl_config,
-                                      executor=executor)
-            sim.run()
-        assert marked.aggregate_calls == tiny_fl_config.num_rounds
-        reference = serial_baseline("fedavg", tiny_bundle, tiny_clients,
-                                    tiny_fl_config, tiny_model_fn)
-        assert states_equal(reference[1], sim.global_state)
-
     def test_out_of_order_stream_rejected(self):
         specs = make_population(3, samples=2, image_size=2)
         results = [ClientResult(state={"w": np.zeros(1)}, num_samples=2,
@@ -376,10 +349,11 @@ def _flatten_tree(tree, prefix=""):
 
 
 class TestStreamMatchesMaterialized:
-    """Every simulation round reduces through ``aggregate_stream``, whatever
-    the backend; this pins it bitwise to each strategy's materialized
-    ``aggregate`` (the reduction tests/fl/test_strategies.py unit-tests),
-    server-side effects (control variates, EMA) included."""
+    """``aggregate`` and ``aggregate_stream`` are two adapters over each
+    strategy's one ``_reduce``; this pins the adapters bitwise to each other,
+    server-side effects (control variates, EMA) included.  The values of the
+    reductions themselves are checked against independent oracles in
+    tests/fl/test_strategies.py."""
 
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)

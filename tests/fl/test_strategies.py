@@ -1,4 +1,12 @@
-"""Tests for FL strategies: FedAvg aggregation, q-FedAvg, FedProx, SCAFFOLD."""
+"""Tests for FL strategies: FedAvg aggregation, q-FedAvg, FedProx, SCAFFOLD.
+
+The server reductions are checked against independent oracles — the
+``nn.serialization`` primitives and the q-FFL closed form — on both training
+engines, through both public adapters (``aggregate`` and
+``aggregate_stream``) of each strategy's one ``_reduce``.
+"""
+
+import copy
 
 import numpy as np
 import pytest
@@ -17,8 +25,19 @@ from repro.fl.strategies import (
     create_strategy,
 )
 from repro.fl.training import ClientResult
+from repro.nn.engine import engine_mode
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights, state_dict_to_vector
+from repro.nn.serialization import (
+    add_states,
+    average_states,
+    get_weights,
+    scale_state,
+    state_dict_to_vector,
+    states_equal,
+)
+
+ENGINES = ["flat", "reference"]
+ADAPTERS = ["aggregate", "aggregate_stream"]
 
 
 def make_context(config=None, seed=0):
@@ -37,6 +56,41 @@ def make_spec(client_id=0, device="S6", n=12, seed=0):
 def make_result(value, num_samples=1, loss=1.0):
     return ClientResult(state={"w": np.array([float(value)])}, num_samples=num_samples,
                         train_loss=loss, init_loss=loss)
+
+
+def random_state(rng):
+    return {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+
+
+def make_round(rng, client_ids, scaffold=False):
+    """Hand-built results for ``client_ids``, with varied sizes and losses."""
+    results = []
+    for client_id in client_ids:
+        result = ClientResult(state=random_state(rng),
+                              num_samples=int(rng.integers(1, 9)),
+                              train_loss=float(rng.uniform(0.2, 3.0)),
+                              init_loss=float(rng.uniform(0.2, 3.0)),
+                              client_id=client_id)
+        if scaffold:
+            result.metadata["c_delta"] = random_state(rng)
+            result.metadata["new_c_i"] = random_state(rng)
+        results.append(result)
+    return results
+
+
+def reduce_with(adapter, strategy, global_state, results, context):
+    """Run one adapter on ``results``, given in ``context.round_selection`` order.
+
+    ``aggregate`` receives them reversed, so its canonical sort is exercised.
+    """
+    if adapter == "aggregate":
+        return strategy.aggregate(global_state, results[::-1], context)
+    specs = [ClientSpec(client_id=r.client_id, device="S6",
+                        dataset=ArrayDataset(np.zeros((r.num_samples, 1)),
+                                             np.zeros(r.num_samples, dtype=int)))
+             for r in results]
+    new_state, _ = strategy.aggregate_stream(global_state, specs, iter(results), context)
+    return new_state
 
 
 class TestRegistry:
@@ -179,18 +233,19 @@ class TestScaffold:
         assert context.server_storage == {}
         assert context.client_storage == {}
 
-    def test_on_round_end_applies_client_control_variate(self):
+    def test_aggregate_commits_client_control_variate(self):
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        result = strategy.client_update(model, spec, get_weights(model), context)
+        global_state = get_weights(model)
+        result = strategy.client_update(model, spec, global_state, context)
         result.client_id = spec.client_id
-        strategy.on_round_end(context, [result])
+        strategy.aggregate(global_state, [result], context)
         c_i = context.client_storage[spec.client_id]["c_i"]
         assert any(np.abs(value).max() > 0 for value in c_i.values())
-        # The shipped state was applied verbatim and removed from the payload.
-        assert "new_c_i" not in result.metadata
+        # The shipped variate is committed verbatim; the caller's copy stays.
+        assert states_equal(c_i, result.metadata["new_c_i"])
 
     def test_aggregate_creates_and_updates_server_control(self):
         strategy = Scaffold()
@@ -213,3 +268,72 @@ class TestScaffold:
         result = strategy.client_update(model, make_spec(), get_weights(model), context)
         assert "c_delta" in result.metadata
         assert "new_c_i" in result.metadata
+
+
+class TestReductionOracles:
+    """Each ``_reduce`` against an oracle that shares none of its code."""
+
+    @pytest.mark.parametrize("adapter", ADAPTERS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_scaffold_matches_fedavg_and_variate_update(self, engine, adapter):
+        rng = np.random.default_rng(3)
+        config = FLConfig(num_clients=5, clients_per_round=3, num_rounds=1,
+                          batch_size=4, learning_rate=0.1, seed=0)
+        context = make_context(config)
+        context.round_selection = [4, 0, 2]
+        server_c = random_state(rng)
+        context.server_storage["scaffold_c"] = copy.deepcopy(server_c)
+        global_state = random_state(rng)
+        ordered = make_round(rng, context.round_selection, scaffold=True)
+        expected = copy.deepcopy(ordered)
+        with engine_mode(engine):
+            new_state = reduce_with(adapter, Scaffold(), global_state, ordered, context)
+            expected_state = average_states([r.state for r in expected],
+                                            [r.num_samples for r in expected])
+            mean_delta = average_states([r.metadata["c_delta"] for r in expected])
+            expected_c = add_states(server_c, scale_state(mean_delta, 3 / 5))
+        assert states_equal(new_state, expected_state)
+        assert states_equal(context.server_storage["scaffold_c"], expected_c)
+        assert sorted(context.client_storage) == [0, 2, 4]
+        for result in expected:
+            assert states_equal(context.client_storage[result.client_id]["c_i"],
+                                result.metadata["new_c_i"])
+
+    @pytest.mark.parametrize("adapter", ADAPTERS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_qfedavg_matches_closed_form(self, engine, adapter):
+        """q-FFL on a 1-element state, written out from the module docstring."""
+        q, lr = 2.0, 0.1
+        config = FLConfig(num_clients=3, clients_per_round=3, num_rounds=1,
+                          batch_size=4, learning_rate=lr, seed=0)
+        context = make_context(config)
+        context.round_selection = [0, 1, 2]
+        w_global, lipschitz = 0.3, 1.0 / lr
+        weights, losses = [0.5, -0.2, 0.9], [0.4, 1.7, 2.5]
+        results = [ClientResult(state={"w": np.array([w])}, num_samples=2,
+                                train_loss=9.0, init_loss=loss, client_id=i)
+                   for i, (w, loss) in enumerate(zip(weights, losses))]
+        deltas = [lipschitz * (w_global - w) for w in weights]
+        h = [q * loss ** (q - 1) * delta ** 2 + lipschitz * loss ** q
+             for delta, loss in zip(deltas, losses)]
+        step = sum(loss ** q * delta for delta, loss in zip(deltas, losses)) / sum(h)
+        with engine_mode(engine):
+            out = reduce_with(adapter, QFedAvg(q=q), {"w": np.array([w_global])},
+                              results, context)
+        np.testing.assert_allclose(out["w"], [w_global - step], rtol=1e-12)
+
+    @pytest.mark.parametrize("strategy_name", ["fedavg", "qfedavg", "scaffold"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_aggregate_leaves_callers_results_untouched(self, strategy_name, engine):
+        rng = np.random.default_rng(5)
+        context = make_context()
+        context.round_selection = [1, 0]
+        results = make_round(rng, [0, 1], scaffold=strategy_name == "scaffold")
+        before = copy.deepcopy(results)
+        with engine_mode(engine):
+            create_strategy(strategy_name).aggregate(random_state(rng), results, context)
+        for kept, original in zip(results, before):
+            assert states_equal(kept.state, original.state)
+            assert list(kept.metadata) == list(original.metadata)
+            for key, value in original.metadata.items():
+                assert states_equal(kept.metadata[key], value)
