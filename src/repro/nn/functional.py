@@ -14,7 +14,11 @@ seed operator-composed implementations as the golden path the fused kernels
 are tested against (``tests/nn/test_functional.py``).  im2col gather plans
 are cached by ``(C, H, W, kernel, stride, padding)`` in both engines — the
 index arrays are a pure function of the geometry, which is fixed across the
-batches of a training run.
+batches of a training run.  Conv contractions are ``np.einsum(optimize=True)``
+calls on the reference engine; the flat engine replays the same transposes,
+reshapes and single ``np.matmul`` from a plan cached on the equation and its
+size-1 axes (:func:`_matmul_plan`), skipping einsum's per-call parsing and
+path search.
 
 Every engine-dispatched kernel is split into a ``_<name>_dispatch`` body and
 a thin public wrapper guarded by ``if _PROF.enabled:`` — a single attribute
@@ -27,7 +31,7 @@ measure a truly hookless baseline.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -187,33 +191,147 @@ def _col2im_reference(
     return x_padded
 
 
-@lru_cache(maxsize=256)
-def _einsum_path(equation: str, *shapes: Tuple[int, ...]):
-    """Cached contraction path for an einsum call signature.
+def _operand_prep(term: str, desired: str):
+    """How numpy readies one operand, ``term -> desired``, before the GEMM.
 
-    ``np.einsum(..., optimize=True)`` re-derives the contraction path on
-    every call — pure Python overhead that dominates small convolutions.  The
-    path is a function of the equation and operand shapes only, so the flat
-    engine computes it once and replays it; the replayed contraction is the
-    byte-for-byte computation ``optimize=True`` would have run.
+    ``None`` when it is already in place, the axes of a transpose when
+    numpy's single-operand einsum would return a permuted view, or else the
+    subscripts of that einsum, replayed as is: dropping a size-1 axis is a
+    one-element sum, which copies in the input's memory order and turns
+    ``-0.0`` into ``+0.0``.
     """
-    dummies = [np.empty(shape) for shape in shapes]
-    return np.einsum_path(equation, *dummies, optimize=True)[0]
+    if term == desired:
+        return None
+    if sorted(term) == sorted(desired):
+        return tuple(term.index(ix) for ix in desired)
+    return f"{term}->{desired}"
 
 
-def _einsum_dispatch(equation: str, *operands: np.ndarray) -> np.ndarray:
-    """Engine-dispatched einsum: seed per-call optimize, or cached path."""
+class _MatmulPlan(NamedTuple):
+    # Per operand in numpy's pairwise order ``(b, a)``: (prep, shape recipe).
+    # A recipe holds, per target axis, the ``(operand, axis)`` sizes whose
+    # product it is (``()`` is a literal 1); ``None`` means no reshape.
+    operands: Tuple[tuple, tuple]
+    multiply: bool  # nothing contracted: a broadcast np.multiply, no GEMM
+    out_shape: Optional[tuple]
+    out_axes: Optional[Tuple[int, ...]]
+
+
+@lru_cache(maxsize=128)  # keys: a few conv equations x their size-1 masks
+def _matmul_plan(equation: str, a_is_one: Tuple[bool, ...],
+                 b_is_one: Tuple[bool, ...]) -> _MatmulPlan:
+    """Replay plan of ``np.einsum(equation, a, b, optimize=True)``.
+
+    With two operands numpy 2.4's einsum makes one ``bmm_einsum`` call, on
+    the operands popped in reverse (``"of,nfp->nop"`` runs as
+    ``"nfp,of->nop"`` on ``(b, a)``).  That call drops the size-1 indices,
+    sorts the rest into batch, contracted and kept groups, readies each
+    operand with one transpose (or single-operand einsum) and one reshape,
+    issues one ``np.matmul`` (a broadcast ``np.multiply`` when nothing is
+    contracted) and reshapes and permutes the product into the output
+    order.  This function mirrors that classification, which depends only
+    on the equation and on which axes have size 1, so the plan is cached on
+    exactly that and never on full shapes.  Replaying it hands the same
+    operand values to the same ufunc in the same memory layout, so the
+    result is bitwise, and laid out, as ``np.einsum`` returns it.  A numpy
+    release that dispatches differently fails
+    ``tests/nn/test_functional.py::TestMatmulPlan``.
+    """
+    inputs, out = equation.split("->")
+    a_term, b_term = inputs.split(",")
+    terms, ones = (b_term, a_term), (b_is_one, a_is_one)
+    if any(len(term) != len(set(term)) for term in (*terms, out)):
+        raise ValueError(f"repeated subscripts are not planned: {equation!r}")
+    where = {}  # index -> (operand, axis) of its first size>1 occurrence
+    for op, (term, is_one) in enumerate(zip(terms, ones)):
+        for axis, ix in enumerate(term):
+            if not is_one[axis]:
+                where.setdefault(ix, (op, axis))
+    left = [ix for ix, one in zip(terms[0], ones[0]) if not one]
+    right = [ix for ix, one in zip(terms[1], ones[1]) if not one]
+    singletons = ({ix for ix, one in zip(terms[0], ones[0]) if one}
+                  | {ix for ix, one in zip(terms[1], ones[1]) if one and ix not in left})
+    singletons -= set(right)
+    bat = [ix for ix in left if ix in right and ix in out]
+    con = [ix for ix in left if ix in right and ix not in out]
+    a_keep = [ix for ix in left if ix not in right and ix in out]
+    b_keep = [ix for ix in right if ix not in left and ix in out]
+
+    if not con:
+        # Each operand takes the output's index order, size-1 axes kept, with
+        # a unit axis wherever only the other operand has an index.
+        operands = []
+        for op, term in enumerate(terms):
+            desired = "".join(ix for ix in out if ix in term)
+            shape = tuple(((op, term.index(ix)),) if ix in term else () for ix in out)
+            operands.append((_operand_prep(term, desired), shape))
+        return _MatmulPlan(tuple(operands), True, None, None)
+
+    def recipe(groups):
+        if all(len(group) == 1 for group in groups):
+            return None
+        return tuple(tuple(where[ix] for ix in group) for group in groups)
+
+    batch = [bat] if bat else []  # no batch indices: 2-D operands, no unit batch
+    groups = (batch + [a_keep, con], batch + [con, b_keep], batch + [a_keep, b_keep])
+    operands = tuple((_operand_prep(term, "".join(sum(grouped, []))), recipe(grouped))
+                     for term, grouped in zip(terms, groups))
+    singles = [ix for ix in out if ix in singletons]
+    produced = singles + bat + a_keep + b_keep
+    out_shape = None
+    if singles or any(len(group) != 1 for group in groups[2]):
+        out_shape = tuple(((where[ix],) if ix in where else ()) for ix in produced)
+    out_axes = None
+    if "".join(produced) != out:
+        out_axes = tuple(produced.index(ix) for ix in out)
+    return _MatmulPlan(operands, False, out_shape, out_axes)
+
+
+def _shape_of(recipe: tuple, shapes: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    dims = []
+    for group in recipe:
+        size = 1
+        for op, axis in group:
+            size *= shapes[op][axis]
+        dims.append(size)
+    return tuple(dims)
+
+
+def _einsum_dispatch(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Engine-dispatched two-operand contraction.
+
+    The reference engine calls ``np.einsum(optimize=True)`` every time (the
+    live oracle); the flat engine replays its :func:`_matmul_plan`.
+    """
     if current_engine() == "reference":
-        return np.einsum(equation, *operands, optimize=True)
-    path = _einsum_path(equation, *(op.shape for op in operands))
-    return np.einsum(equation, *operands, optimize=path)
+        return np.einsum(equation, a, b, optimize=True)
+    plan = _matmul_plan(equation, tuple(d == 1 for d in a.shape),
+                        tuple(d == 1 for d in b.shape))
+    shapes = (b.shape, a.shape)
+    ready = []
+    for operand, (prep, recipe) in zip((b, a), plan.operands):
+        if isinstance(prep, tuple):
+            operand = operand.transpose(prep)
+        elif prep is not None:
+            operand = np.einsum(prep, operand)
+        if recipe is not None:
+            operand = operand.reshape(_shape_of(recipe, shapes))
+        ready.append(operand)
+    if plan.multiply:
+        return np.multiply(*ready)
+    result = np.matmul(*ready)
+    if plan.out_shape is not None:
+        result = result.reshape(_shape_of(plan.out_shape, shapes))
+    if plan.out_axes is not None:
+        result = result.transpose(plan.out_axes)
+    return result
 
 
-def _einsum(equation, *operands):
+def _einsum(equation, a, b):
     if _PROF.enabled:
         with _PROF.time("einsum"):
-            return _einsum_dispatch(equation, *operands)
-    return _einsum_dispatch(equation, *operands)
+            return _einsum_dispatch(equation, a, b)
+    return _einsum_dispatch(equation, a, b)
 
 
 def _col2im_dispatch(

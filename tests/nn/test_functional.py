@@ -1,5 +1,7 @@
 """Tests for functional ops: convolutions, pooling, activations, losses."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,85 @@ class TestEngineKernelEquivalence:
 
         self._assert_bitwise(*self._run_both(build))
 
+    # (N, C, H, W, out_channels, kernel, stride, padding).  Each case pins a
+    # size-1 axis of the contractions: batch, output pixels (P), filters,
+    # input channels, and a 1x1 kernel on one channel (nothing contracted).
+    _CONV_SHAPES = {
+        "base": (3, 4, 7, 7, 5, 3, 2, 1),
+        "batch1": (1, 4, 6, 6, 5, 3, 1, 1),
+        "output1x1": (3, 4, 3, 3, 5, 3, 1, 0),
+        "out_channels1": (3, 4, 6, 6, 1, 3, 2, 1),
+        "channels1": (3, 1, 6, 6, 5, 3, 1, 1),
+        "kernel1x1_channels1": (2, 1, 5, 5, 4, 1, 1, 0),
+        "all_ones": (1, 1, 3, 3, 1, 3, 1, 0),
+    }
+
+    def _check_conv_case(self, shape_name, dtype, upstream, depthwise):
+        """Conv forward+backward under both engines.
+
+        ``upstream="transposed"`` seeds backward with a gradient that is a
+        (channel, batch)-transposed view, so the contractions see strided
+        operands; ``"ones"`` is the contiguous ``out.sum()`` seed.
+
+        Everything is bitwise except two engine differences that sit outside
+        the contractions (the contractions themselves are pinned against
+        ``np.einsum`` on identical operands in :class:`TestMatmulPlan`):
+
+        * at one output pixel (P=1) the reference im2col's fancy-index
+          gather leaves its columns batch-innermost in memory, einsum's
+          size-1 reduction keeps that layout and BLAS rounds the GEMM
+          differently, so every output is compared to tolerance;
+        * in float32 the flat col2im sums contributions in float64
+          (``np.bincount``) and the reference in float32 (``np.add.at``), so
+          the input gradient is compared to tolerance.
+        """
+        from repro.nn.engine import dtype_mode
+        from repro.nn.layers import Parameter
+
+        n, c, h, w, oc, k, stride, padding = self._CONV_SHAPES[shape_name]
+        oc = c if depthwise else oc
+        rng = np.random.default_rng(len(shape_name))
+        x_np = rng.normal(size=(n, c, h, w))
+        x_np[x_np < -1.0] = -0.0  # signed zeros must survive both engines
+        w_np = rng.normal(size=(oc, 1 if depthwise else c, k, k))
+        b_np = rng.normal(size=oc)
+        out_h = (h + 2 * padding - k) // stride + 1
+        out_w = (w + 2 * padding - k) // stride + 1
+        g_np = rng.normal(size=(oc, n, out_h, out_w)).astype(dtype)
+        conv = F.depthwise_conv2d if depthwise else F.conv2d
+
+        def build():
+            with dtype_mode(dtype):
+                x = Tensor(x_np.copy(), requires_grad=True)
+                wt, b = Parameter(w_np.copy()), Parameter(b_np.copy())
+                out = conv(x, wt, b, stride=stride, padding=padding)
+                if upstream == "transposed":
+                    out.backward(g_np.copy().transpose(1, 0, 2, 3))
+                else:
+                    out.sum().backward()
+                return out.data, x.grad, wt.grad, b.grad
+
+        flat, reference = self._run_both(build)
+        for index, (a, b) in enumerate(zip(flat, reference)):
+            assert a.dtype == b.dtype == np.dtype(dtype), f"item {index}"
+            if out_h * out_w == 1 or (dtype == "float32" and index == 1):
+                rtol = 1e-5 if dtype == "float32" else 1e-12
+                np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, err_msg=f"item {index}")
+            else:
+                assert a.tobytes() == b.tobytes(), f"item {index}"
+
+    @pytest.mark.parametrize("upstream", ["ones", "transposed"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape_name", list(_CONV_SHAPES))
+    def test_conv2d_shapes_match_reference(self, shape_name, dtype, upstream):
+        self._check_conv_case(shape_name, dtype, upstream, depthwise=False)
+
+    @pytest.mark.parametrize("upstream", ["ones", "transposed"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape_name", list(_CONV_SHAPES))
+    def test_depthwise_shapes_match_reference(self, shape_name, dtype, upstream):
+        self._check_conv_case(shape_name, dtype, upstream, depthwise=True)
+
     def test_hardswish_fused_bitwise(self):
         rng = np.random.default_rng(5)
         x_np = rng.normal(scale=4.0, size=(16, 8))
@@ -426,3 +507,90 @@ class TestEngineKernelEquivalence:
         probs = 1.0 / (1.0 + np.exp(-logits.data))
         np.testing.assert_allclose(logits.grad, (probs - targets) / logits.data.size,
                                    atol=1e-12)
+
+
+class TestMatmulPlan:
+    """The flat engine's planned contractions against ``np.einsum(optimize=True)``.
+
+    A plan replays numpy's own pairwise dispatch, so results must match bit
+    for bit (signed zeros included) and in memory layout, which later
+    reductions depend on.  A numpy upgrade that changes how einsum
+    dispatches fails here first.
+    """
+
+    # equation -> operand index strings over the sizes (n, o, f, p)
+    _EQUATIONS = {
+        "of,nfp->nop": ("of", "nfp"),
+        "nop,nfp->of": ("nop", "nfp"),
+        "of,nop->nfp": ("of", "nop"),
+        "ck,nckp->ncp": ("of", "nofp"),
+        "ncp,nckp->ck": ("nop", "nofp"),
+        "ck,ncp->nckp": ("of", "nop"),
+    }
+
+    @staticmethod
+    def _operand(rng, dims, dtype, strided):
+        x = rng.normal(size=dims).astype(dtype)
+        x[x < -1.0] = -0.0
+        x.flat[0] = -0.0
+        if strided and x.ndim >= 3:
+            # Same values, last two axes laid out transposed in memory.
+            x = np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+        return x
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("equation", list(_EQUATIONS))
+    def test_matches_numpy_einsum(self, equation, dtype):
+        from repro.nn.functional import _einsum_dispatch
+
+        rng = np.random.default_rng(0)
+        for n, o, f, p in itertools.product((1, 3), (1, 4), (1, 5), (1, 6)):
+            size = dict(n=n, o=o, f=f, p=p)
+            for strided in (False, True):
+                a, b = (self._operand(rng, tuple(size[ix] for ix in term), dtype, strided)
+                        for term in self._EQUATIONS[equation])
+                expected = np.einsum(equation, a, b, optimize=True)
+                got = _einsum_dispatch(equation, a, b)
+                case = f"{equation} n={n} o={o} f={f} p={p} strided={strided}"
+                assert got.dtype == expected.dtype, case
+                assert got.shape == expected.shape, case
+                assert got.strides == expected.strides, case
+                assert got.tobytes() == expected.tobytes(), case
+
+    def test_plan_cache_keyed_by_size_one_mask(self):
+        from repro.nn.functional import _einsum_dispatch, _matmul_plan
+
+        rng = np.random.default_rng(1)
+        w = rng.normal(size=(4, 5))
+        _matmul_plan.cache_clear()
+        for n in range(2, 12):
+            for p in (7, 9):
+                _einsum_dispatch("of,nfp->nop", w, rng.normal(size=(n, 5, p)))
+        assert _matmul_plan.cache_info().currsize == 1
+        _einsum_dispatch("of,nfp->nop", w, rng.normal(size=(1, 5, 7)))  # batch of one
+        _einsum_dispatch("of,nfp->nop", w, rng.normal(size=(1, 5, 1)))
+        assert _matmul_plan.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("layer", ["conv2d", "depthwise_conv2d"])
+    def test_flat_engine_never_searches_a_path(self, layer, monkeypatch):
+        """A conv layer's forward and backward under the flat engine makes no
+        ``einsum_path`` call, and the profiler still sees one ``einsum`` call
+        per contraction: 3 per layer."""
+        from repro.nn.layers import Parameter
+        from repro.obs import profile_kernels
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("einsum_path called on the flat engine")
+
+        # np.einsum resolves einsum_path in its own module, so patch it there too.
+        monkeypatch.setattr(np, "einsum_path", forbidden)
+        monkeypatch.setattr("numpy._core.einsumfunc.einsum_path", forbidden)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=True)
+        w = Parameter(rng.normal(size=(4, 1 if layer == "depthwise_conv2d" else 4, 3, 3)))
+        with profile_kernels() as profiler:
+            profiler.drain()
+            getattr(F, layer)(x, w, padding=1).sum().backward()
+            counts = profiler.drain()
+        assert counts["einsum"][0] == 3
+        assert x.grad is not None and w.grad is not None
