@@ -275,6 +275,14 @@ class AsyncFederatedSimulation:
                 f"the async simulation needs an AsyncStrategy "
                 f"('fedasync' or 'fedbuff')"
             )
+        if config.fault_policy is not None:
+            # Dispatch batches train through the fail-fast run_round, so a
+            # policy's retries, timeouts and quorum would never apply.
+            raise ValueError(
+                "fault_policy is not supported by the asynchronous simulation: "
+                "its dispatch batches fail fast on the first client failure "
+                "(async x faults is open as ROADMAP item 4)"
+            )
         self.model_fn = model_fn
         self.clients = list(clients)
         self.test_sets = dict(test_sets)
@@ -481,14 +489,12 @@ class AsyncFederatedSimulation:
             self.context.round_index = batch_id
             self.context.round_selection = [job.client_id for job in jobs]
             broadcast = self._layout.unpack(batch["vec"])
-            tracer = self.tracer
-            with (tracer.span("flush_batch", batch=batch_id, jobs=len(specs))
-                  if tracer is not None else nullcontext()) as flush_span:
+            with self._obs_span("flush_batch", batch=batch_id, jobs=len(specs)) as flush_span:
                 results = self._executor.run_round(
                     self.strategy, self.model_fn, specs, broadcast, self.context
                 )
-            if tracer is not None:
-                merge_client_spans(tracer, flush_span.start, results,
+            if self.tracer is not None:
+                merge_client_spans(self.tracer, flush_span.start, results,
                                    {spec.client_id: spec.device for spec in specs})
             for job, result in zip(jobs, results):
                 vec = self._layout.pack(result.state)
@@ -592,10 +598,15 @@ class AsyncFederatedSimulation:
             self._active_callbacks.on_round_end(self, record, results)
 
     # -- evaluation -------------------------------------------------------- #
+    def _obs_span(self, name: str, **attrs):
+        """A tracer span when tracing is attached, else a no-op context."""
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.span(name, **attrs)
+
     def evaluate(self) -> Dict[str, float]:
         """Evaluate the current global model on every per-device test set."""
-        with (self.tracer.span("evaluate", devices=len(self.test_sets))
-              if self.tracer is not None else nullcontext()):
+        with self._obs_span("evaluate", devices=len(self.test_sets)):
             model = self.global_model()
             with engine_scope(self.config):
                 metrics = {
@@ -767,43 +778,45 @@ class AsyncFederatedSimulation:
         budget = self._event_budget(target)
         processed = 0
         try:
-            callbacks.on_run_start(self, history)
-            if not self._populated:
-                self._initialize_population()
-                self._fill_dispatch()
-            elif self._version < target:
-                # Checkpoints are written from commit callbacks, which fire
-                # *before* the post-commit dispatch refill; perform that
-                # pending refill now so the resumed run re-issues exactly the
-                # dispatches the uninterrupted run issued right after the
-                # checkpointed commit (all RNG stream counters were restored,
-                # so the draws are identical).
-                self._fill_dispatch()
-            while self._version < target and not self._stop_requested:
-                if not self._queue:
-                    raise RuntimeError(
-                        f"event queue ran dry at commit {self._version}/{target} "
-                        f"(virtual time {self._clock:.1f}s): no client can "
-                        f"produce further updates under this latency/"
-                        f"availability configuration"
-                    )
-                if processed >= budget:
-                    raise RuntimeError(
-                        f"processed {processed} events without reaching "
-                        f"{target} commits (at {self._version}); availability "
-                        f"may be too low or the buffer too large — raise "
-                        f"max_events to override"
-                    )
-                event = self._queue.pop()
-                self._clock = event.time
-                processed += 1
-                if event.kind == "completion":
-                    self._on_completion(event)
-                else:
-                    self._on_toggle(event)
-            history.per_device_metric = self.evaluate()
-            self._finalize_metadata(history)
-            callbacks.on_run_end(self, history)
+            with self._obs_span("run", strategy=self.strategy.name,
+                                seed=self.config.seed, commits=target):
+                callbacks.on_run_start(self, history)
+                if not self._populated:
+                    self._initialize_population()
+                    self._fill_dispatch()
+                elif self._version < target:
+                    # Checkpoints are written from commit callbacks, which fire
+                    # *before* the post-commit dispatch refill; perform that
+                    # pending refill now so the resumed run re-issues exactly the
+                    # dispatches the uninterrupted run issued right after the
+                    # checkpointed commit (all RNG stream counters were restored,
+                    # so the draws are identical).
+                    self._fill_dispatch()
+                while self._version < target and not self._stop_requested:
+                    if not self._queue:
+                        raise RuntimeError(
+                            f"event queue ran dry at commit {self._version}/{target} "
+                            f"(virtual time {self._clock:.1f}s): no client can "
+                            f"produce further updates under this latency/"
+                            f"availability configuration"
+                        )
+                    if processed >= budget:
+                        raise RuntimeError(
+                            f"processed {processed} events without reaching "
+                            f"{target} commits (at {self._version}); availability "
+                            f"may be too low or the buffer too large — raise "
+                            f"max_events to override"
+                        )
+                    event = self._queue.pop()
+                    self._clock = event.time
+                    processed += 1
+                    if event.kind == "completion":
+                        self._on_completion(event)
+                    else:
+                        self._on_toggle(event)
+                history.per_device_metric = self.evaluate()
+                self._finalize_metadata(history)
+                callbacks.on_run_end(self, history)
         finally:
             self._active_callbacks = None
             if self._owns_executor:

@@ -6,7 +6,7 @@ compression — plus the random ISP transformations HeteroSwitch applies on the
 client (Eq. 2 and Eq. 3).
 """
 
-from .compression import COMPRESSION_METHODS, compress, compress_batch, jpeg_compress
+from .compression import COMPRESSION_METHODS, compress, compress_batch, jpeg_compress_batch
 from .demosaic import DEMOSAIC_METHODS, demosaic, demosaic_batch
 from .denoise import DENOISE_METHODS, denoise, denoise_batch
 from .gamut import GAMUT_METHODS, gamut_map, gamut_map_batch
@@ -29,14 +29,7 @@ from .raw import (
     raw_to_training_array_batch,
 )
 from .resize import resize_bilinear, resize_bilinear_batch
-from .tone import (
-    TONE_METHODS,
-    apply_gamma,
-    srgb_gamma,
-    srgb_gamma_inverse,
-    tone_transform,
-    tone_transform_batch,
-)
+from .tone import TONE_METHODS, srgb_gamma, srgb_gamma_inverse, tone_transform, tone_transform_batch
 from .transforms import (
     Compose,
     GaussianNoise,
@@ -45,6 +38,7 @@ from .transforms import (
     RandomGaussianFilter1D,
     RandomWhiteBalance,
     Transform,
+    apply_gamma,
     apply_white_balance_gains,
 )
 from .white_balance import WHITE_BALANCE_METHODS, white_balance, white_balance_batch
@@ -86,7 +80,7 @@ __all__ = [
     "apply_gamma",
     "compress",
     "compress_batch",
-    "jpeg_compress",
+    "jpeg_compress_batch",
     "COMPRESSION_METHODS",
     "Transform",
     "Compose",

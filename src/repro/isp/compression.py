@@ -13,16 +13,18 @@ compressing image-by-image.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.fft import dctn, idctn
+
+from ._stage import image_batch, passthrough, stage_method
 
 __all__ = [
     "compress",
     "compress_batch",
     "COMPRESSION_METHODS",
-    "COMPRESSION_BATCH_METHODS",
-    "jpeg_compress",
-    "compress_none",
+    "jpeg_compress_batch",
     "quality_to_quant_table",
 ]
 
@@ -83,9 +85,7 @@ def _blockwise_quantize(planes: np.ndarray, quant: np.ndarray) -> np.ndarray:
 
 def jpeg_compress_batch(images: np.ndarray, quality: int = 85) -> np.ndarray:
     """Apply JPEG-style lossy compression to an ``(N, H, W, 3)`` batch."""
-    images = np.clip(np.asarray(images, dtype=np.float64), 0.0, 1.0)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
+    images = np.clip(images, 0.0, 1.0)
     quant = quality_to_quant_table(quality) / 255.0  # work in [0, 1] space
     flat = images.reshape(-1, 3) @ _RGB_TO_YCBCR.T
     ycbcr = flat.reshape(images.shape)
@@ -99,65 +99,18 @@ def jpeg_compress_batch(images: np.ndarray, quality: int = 85) -> np.ndarray:
     return np.clip(rgb.reshape(images.shape), 0.0, 1.0)
 
 
-def jpeg_compress(image: np.ndarray, quality: int = 85) -> np.ndarray:
-    """Apply JPEG-style lossy compression to one image (batched kernel, N=1)."""
-    return jpeg_compress_batch(np.asarray(image, dtype=np.float64)[None], quality)[0]
-
-
-def compress_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when the compression stage is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
-def _jpeg85(image: np.ndarray) -> np.ndarray:
-    return jpeg_compress(image, quality=85)
-
-
-def _jpeg50(image: np.ndarray) -> np.ndarray:
-    return jpeg_compress(image, quality=50)
-
-
-def _jpeg85_batch(images: np.ndarray) -> np.ndarray:
-    return jpeg_compress_batch(images, quality=85)
-
-
-def _jpeg50_batch(images: np.ndarray) -> np.ndarray:
-    return jpeg_compress_batch(images, quality=50)
-
-
 COMPRESSION_METHODS = {
-    "jpeg85": _jpeg85,
-    "none": compress_none,
-    "jpeg50": _jpeg50,
+    "jpeg85": partial(jpeg_compress_batch, quality=85),
+    "none": passthrough,
+    "jpeg50": partial(jpeg_compress_batch, quality=50),
 }
-
-COMPRESSION_BATCH_METHODS = {
-    "jpeg85": _jpeg85_batch,
-    "none": compress_none,
-    "jpeg50": _jpeg50_batch,
-}
-
-
-def compress(image: np.ndarray, method: str = "jpeg85") -> np.ndarray:
-    """Compress with the named method (see :data:`COMPRESSION_METHODS`)."""
-    try:
-        fn = COMPRESSION_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown compression method '{method}'; options: {sorted(COMPRESSION_METHODS)}"
-        ) from exc
-    return fn(image)
 
 
 def compress_batch(images: np.ndarray, method: str = "jpeg85") -> np.ndarray:
-    """Compress an ``(N, H, W, C)`` batch with the named method."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
-    try:
-        fn = COMPRESSION_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown compression method '{method}'; options: {sorted(COMPRESSION_BATCH_METHODS)}"
-        ) from exc
-    return fn(images)
+    """Compress an ``(N, H, W, C)`` batch with a :data:`COMPRESSION_METHODS` method."""
+    return stage_method(COMPRESSION_METHODS, "compression", method)(image_batch(images))
+
+
+def compress(image: np.ndarray, method: str = "jpeg85") -> np.ndarray:
+    """Compress one ``(H, W, C)`` image (:func:`compress_batch` at N=1)."""
+    return compress_batch(np.asarray(image)[None], method)[0]

@@ -5,38 +5,25 @@ edge-preserving median + bilateral-flavoured blend).  Option 1 omits the stage
 entirely.  Option 2 is wavelet BayesShrink soft-thresholding implemented with
 an orthogonal Haar transform, following Chipman et al. (1997).
 
-Every method has a batched ``(N, H, W, C)`` kernel (the implementation) and a
-per-image wrapper; the batched path processes each image independently, so
-stacking is bitwise identical to looping.
+Each method is one batched ``(N, H, W, C)`` kernel in :data:`DENOISE_METHODS`;
+the kernels process each image independently, so stacking is bitwise
+identical to looping, and :func:`denoise` is :func:`denoise_batch` at N=1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._stage import image_batch, passthrough, stage_method
 from .filters import median_filter_3x3
 
 __all__ = [
     "denoise",
     "denoise_batch",
     "DENOISE_METHODS",
-    "DENOISE_BATCH_METHODS",
-    "denoise_fbdd",
-    "denoise_wavelet_bayes",
-    "denoise_none",
+    "denoise_fbdd_batch",
+    "denoise_wavelet_bayes_batch",
 ]
-
-
-def _as_batch(images: np.ndarray) -> np.ndarray:
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
-    return images
-
-
-def denoise_none_batch(images: np.ndarray) -> np.ndarray:
-    """Pass-through used when the denoising stage is omitted."""
-    return _as_batch(images)
 
 
 def denoise_fbdd_batch(images: np.ndarray, strength: float = 0.5) -> np.ndarray:
@@ -46,7 +33,6 @@ def denoise_fbdd_batch(images: np.ndarray, strength: float = 0.5) -> np.ndarray:
     our already-demosaiced float images the practical equivalent is a small
     median filter whose output is blended with the input so edges survive.
     """
-    images = _as_batch(images)
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must be in [0, 1], got {strength}")
     filtered = np.empty_like(images)
@@ -98,7 +84,6 @@ def denoise_wavelet_bayes_batch(images: np.ndarray, levels: int = 1) -> np.ndarr
     The noise level is estimated per image per channel from the finest-scale
     HH subband via the median absolute deviation, the classic Donoho estimator.
     """
-    images = _as_batch(images)
     out = np.empty_like(images)
     n, h, w = images.shape[0], images.shape[1], images.shape[2]
     for channel in range(images.shape[-1]):
@@ -119,47 +104,18 @@ def denoise_wavelet_bayes_batch(images: np.ndarray, levels: int = 1) -> np.ndarr
     return np.clip(out, 0.0, 1.0)
 
 
-def denoise_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when the denoising stage is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
-def denoise_fbdd(image: np.ndarray, strength: float = 0.5) -> np.ndarray:
-    """FBDD-style denoising of one image (batched kernel, N=1)."""
-    return denoise_fbdd_batch(np.asarray(image, dtype=np.float64)[None], strength)[0]
-
-
-def denoise_wavelet_bayes(image: np.ndarray, levels: int = 1) -> np.ndarray:
-    """Wavelet BayesShrink denoising of one image (batched kernel, N=1)."""
-    return denoise_wavelet_bayes_batch(np.asarray(image, dtype=np.float64)[None], levels)[0]
-
-
 DENOISE_METHODS = {
-    "fbdd": denoise_fbdd,
-    "none": denoise_none,
-    "wavelet_bayes": denoise_wavelet_bayes,
-}
-
-DENOISE_BATCH_METHODS = {
     "fbdd": denoise_fbdd_batch,
-    "none": denoise_none_batch,
+    "none": passthrough,
     "wavelet_bayes": denoise_wavelet_bayes_batch,
 }
 
 
-def denoise(image: np.ndarray, method: str = "fbdd") -> np.ndarray:
-    """Denoise with the named method (see :data:`DENOISE_METHODS`)."""
-    try:
-        fn = DENOISE_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown denoise method '{method}'; options: {sorted(DENOISE_METHODS)}") from exc
-    return fn(image)
-
-
 def denoise_batch(images: np.ndarray, method: str = "fbdd") -> np.ndarray:
-    """Denoise an ``(N, H, W, C)`` batch with the named method."""
-    try:
-        fn = DENOISE_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown denoise method '{method}'; options: {sorted(DENOISE_BATCH_METHODS)}") from exc
-    return fn(images)
+    """Denoise an ``(N, H, W, C)`` batch with the named method (see :data:`DENOISE_METHODS`)."""
+    return stage_method(DENOISE_METHODS, "denoise", method)(image_batch(images))
+
+
+def denoise(image: np.ndarray, method: str = "fbdd") -> np.ndarray:
+    """Denoise one ``(H, W, C)`` image (:func:`denoise_batch` at N=1)."""
+    return denoise_batch(np.asarray(image)[None], method)[0]

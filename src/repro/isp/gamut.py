@@ -5,17 +5,19 @@ omits the stage; Option 2 maps to the wide-gamut ProPhoto RGB primaries.  The
 3x3 matrices below are the standard linear-RGB conversions via CIE XYZ (D50
 white point for ProPhoto, D65 for sRGB), which is all the reproduction needs:
 the two options apply *different* linear colour twists to the same data.
+The transforms are per-pixel matrix products, so they batch trivially.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._stage import image_batch, passthrough, stage_method
+
 __all__ = [
     "gamut_map",
     "gamut_map_batch",
     "GAMUT_METHODS",
-    "GAMUT_BATCH_METHODS",
     "SRGB_TO_XYZ",
     "XYZ_TO_SRGB",
     "XYZ_TO_PROPHOTO",
@@ -65,34 +67,18 @@ def gamut_prophoto(image: np.ndarray) -> np.ndarray:
     return _apply_matrix(xyz, XYZ_TO_PROPHOTO)
 
 
-def gamut_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when gamut mapping is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
 GAMUT_METHODS = {
     "srgb": gamut_srgb,
-    "none": gamut_none,
+    "none": passthrough,
     "prophoto": gamut_prophoto,
 }
 
-# The gamut transforms are pure per-pixel matrix products, so the per-image
-# functions already are the batched kernels.
-GAMUT_BATCH_METHODS = GAMUT_METHODS
+
+def gamut_map_batch(images: np.ndarray, method: str = "srgb") -> np.ndarray:
+    """Gamut-map an ``(N, H, W, C)`` batch with the named method (see :data:`GAMUT_METHODS`)."""
+    return stage_method(GAMUT_METHODS, "gamut", method)(image_batch(images))
 
 
 def gamut_map(image: np.ndarray, method: str = "srgb") -> np.ndarray:
-    """Gamut-map with the named method (see :data:`GAMUT_METHODS`)."""
-    try:
-        fn = GAMUT_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown gamut method '{method}'; options: {sorted(GAMUT_METHODS)}") from exc
-    return fn(image)
-
-
-def gamut_map_batch(images: np.ndarray, method: str = "srgb") -> np.ndarray:
-    """Gamut-map an ``(N, H, W, C)`` batch with the named method."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
-    return gamut_map(images, method)
+    """Gamut-map one ``(H, W, C)`` image (:func:`gamut_map_batch` at N=1)."""
+    return gamut_map_batch(np.asarray(image)[None], method)[0]

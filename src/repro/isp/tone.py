@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._stage import image_batch, passthrough, stage_method
+
 __all__ = [
     "tone_transform",
     "tone_transform_batch",
     "TONE_METHODS",
-    "TONE_BATCH_METHODS",
     "srgb_gamma",
     "srgb_gamma_inverse",
-    "tone_equalize",
-    "tone_none",
-    "apply_gamma",
+    "tone_equalize_batch",
 ]
 
 
@@ -43,14 +42,6 @@ def srgb_gamma_inverse(image: np.ndarray) -> np.ndarray:
     low = image / 12.92
     high = np.power((image + 0.055) / 1.055, 2.4)
     return np.where(image <= 0.04045, low, high)
-
-
-def apply_gamma(image: np.ndarray, gamma: float) -> np.ndarray:
-    """Raise the image to the power ``gamma`` (Eq. 3's random-gamma primitive)."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    image = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    return np.power(image, gamma)
 
 
 def _rowwise_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -89,9 +80,6 @@ def _rowwise_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
 
 def tone_equalize_batch(images: np.ndarray, bins: int = 64) -> np.ndarray:
     """sRGB gamma followed by per-image luminance histogram equalization."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
     encoded = srgb_gamma(images)
     luminance = encoded.mean(axis=-1)                            # (N, H, W)
     n = len(images)
@@ -111,47 +99,18 @@ def tone_equalize_batch(images: np.ndarray, bins: int = 64) -> np.ndarray:
     return np.clip(encoded * ratio[..., None], 0.0, 1.0)
 
 
-def tone_equalize(image: np.ndarray, bins: int = 64) -> np.ndarray:
-    """sRGB gamma + luminance equalization of one image (batched kernel, N=1)."""
-    return tone_equalize_batch(np.asarray(image, dtype=np.float64)[None], bins)[0]
-
-
-def tone_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when tone transformation is omitted (image stays linear)."""
-    return np.asarray(image, dtype=np.float64)
-
-
 TONE_METHODS = {
     "srgb_gamma": srgb_gamma,
-    "none": tone_none,
-    "srgb_gamma_equalize": tone_equalize,
-}
-
-# The gamma curves are elementwise and equalization dispatches on batch rank,
-# so only equalize needs a distinct batched entry.
-TONE_BATCH_METHODS = {
-    "srgb_gamma": srgb_gamma,
-    "none": tone_none,
+    "none": passthrough,
     "srgb_gamma_equalize": tone_equalize_batch,
 }
 
 
-def tone_transform(image: np.ndarray, method: str = "srgb_gamma") -> np.ndarray:
-    """Tone-transform with the named method (see :data:`TONE_METHODS`)."""
-    try:
-        fn = TONE_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown tone method '{method}'; options: {sorted(TONE_METHODS)}") from exc
-    return fn(image)
-
-
 def tone_transform_batch(images: np.ndarray, method: str = "srgb_gamma") -> np.ndarray:
-    """Tone-transform an ``(N, H, W, C)`` batch with the named method."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
-    try:
-        fn = TONE_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown tone method '{method}'; options: {sorted(TONE_BATCH_METHODS)}") from exc
-    return fn(images)
+    """Tone-transform an ``(N, H, W, C)`` batch with the named method (see :data:`TONE_METHODS`)."""
+    return stage_method(TONE_METHODS, "tone", method)(image_batch(images))
+
+
+def tone_transform(image: np.ndarray, method: str = "srgb_gamma") -> np.ndarray:
+    """Tone-transform one ``(H, W, C)`` image (:func:`tone_transform_batch` at N=1)."""
+    return tone_transform_batch(np.asarray(image)[None], method)[0]

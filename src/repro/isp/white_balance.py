@@ -14,35 +14,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._stage import image_batch, passthrough, stage_method
+
 __all__ = [
     "white_balance",
     "white_balance_batch",
     "WHITE_BALANCE_METHODS",
-    "WHITE_BALANCE_BATCH_METHODS",
-    "gray_world",
-    "white_patch",
-    "white_balance_none",
-    "apply_gains",
+    "gray_world_batch",
+    "white_patch_batch",
 ]
-
-
-def apply_gains(image: np.ndarray, gains: np.ndarray | tuple[float, float, float]) -> np.ndarray:
-    """Apply per-channel multiplicative gains (the diagonal model of Eq. 2)."""
-    image = np.asarray(image, dtype=np.float64)
-    gains_arr = np.asarray(gains, dtype=np.float64).reshape(1, 1, 3)
-    return np.clip(image * gains_arr, 0.0, 1.0)
-
-
-def _as_batch(images: np.ndarray) -> np.ndarray:
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
-    return images
 
 
 def gray_world_batch(images: np.ndarray) -> np.ndarray:
     """Gray-world white balance: scale channels so their means are equal."""
-    images = _as_batch(images)
     means = images.reshape(len(images), -1, 3).mean(axis=1)      # (N, 3)
     target = means.mean(axis=-1, keepdims=True)                  # (N, 1)
     gains = target / np.maximum(means, 1e-6)
@@ -51,62 +35,23 @@ def gray_world_batch(images: np.ndarray) -> np.ndarray:
 
 def white_patch_batch(images: np.ndarray, percentile: float = 99.0) -> np.ndarray:
     """White-patch (max-RGB) balance: map the brightest response of each channel to white."""
-    images = _as_batch(images)
     maxima = np.percentile(images.reshape(len(images), -1, 3), percentile, axis=1)
     gains = 1.0 / np.maximum(maxima, 1e-6)
     return np.clip(images * gains[:, None, None, :], 0.0, 1.0)
 
 
-def white_balance_none_batch(images: np.ndarray) -> np.ndarray:
-    """Pass-through used when the white-balance stage is omitted."""
-    return _as_batch(images)
-
-
-def gray_world(image: np.ndarray) -> np.ndarray:
-    """Gray-world white balance of one image (batched kernel, N=1)."""
-    return gray_world_batch(np.asarray(image, dtype=np.float64)[None])[0]
-
-
-def white_patch(image: np.ndarray, percentile: float = 99.0) -> np.ndarray:
-    """White-patch balance of one image (batched kernel, N=1)."""
-    return white_patch_batch(np.asarray(image, dtype=np.float64)[None], percentile)[0]
-
-
-def white_balance_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when the white-balance stage is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
 WHITE_BALANCE_METHODS = {
-    "gray_world": gray_world,
-    "none": white_balance_none,
-    "white_patch": white_patch,
-}
-
-WHITE_BALANCE_BATCH_METHODS = {
     "gray_world": gray_world_batch,
-    "none": white_balance_none_batch,
+    "none": passthrough,
     "white_patch": white_patch_batch,
 }
 
 
-def white_balance(image: np.ndarray, method: str = "gray_world") -> np.ndarray:
-    """White-balance with the named method (see :data:`WHITE_BALANCE_METHODS`)."""
-    try:
-        fn = WHITE_BALANCE_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown white balance method '{method}'; options: {sorted(WHITE_BALANCE_METHODS)}"
-        ) from exc
-    return fn(image)
-
-
 def white_balance_batch(images: np.ndarray, method: str = "gray_world") -> np.ndarray:
-    """White-balance an ``(N, H, W, C)`` batch with the named method."""
-    try:
-        fn = WHITE_BALANCE_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown white balance method '{method}'; options: {sorted(WHITE_BALANCE_BATCH_METHODS)}"
-        ) from exc
-    return fn(images)
+    """White-balance an ``(N, H, W, C)`` batch with a :data:`WHITE_BALANCE_METHODS` method."""
+    return stage_method(WHITE_BALANCE_METHODS, "white balance", method)(image_batch(images))
+
+
+def white_balance(image: np.ndarray, method: str = "gray_world") -> np.ndarray:
+    """White-balance one ``(H, W, C)`` image (:func:`white_balance_batch` at N=1)."""
+    return white_balance_batch(np.asarray(image)[None], method)[0]

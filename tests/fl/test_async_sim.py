@@ -12,6 +12,7 @@ The headline guarantees under test:
   function of the run seed.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -33,6 +34,7 @@ from repro.fl.config import FLConfig
 from repro.fl.simulation import FLHistory, history_from_dict
 from repro.fl.strategies import FedAvg
 from repro.nn.serialization import state_fingerprint
+from repro.runtime import Runner, RunSpec
 from repro.store.checkpoint import read_checkpoint, write_checkpoint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -108,6 +110,27 @@ class TestBasics:
         with pytest.raises(ValueError, match="no latency model"):
             AsyncFederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
                                      FedAsync(), async_config(), latency=partial)
+
+    def test_rejects_fault_policy(self, tiny_bundle, tiny_clients, tiny_model_fn):
+        """Dispatch batches fail fast, so a policy would be silently ignored."""
+        config = dataclasses.replace(async_config(), fault_policy={"max_retries": 1})
+        with pytest.raises(ValueError, match="fault_policy .*ROADMAP item 4"):
+            AsyncFederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                     FedAsync(), config)
+
+    def test_runner_rejects_fault_policy_before_any_round(self, monkeypatch):
+        def run(self, num_commits=None):
+            raise AssertionError("the async run started")
+
+        monkeypatch.setattr(AsyncFederatedSimulation, "run", run)
+        spec = RunSpec(kind="federated_async", strategy="fedbuff", dataset="device_capture",
+                       dataset_kwargs={"devices": ["Pixel5", "S6", "G7"]}, scale="smoke",
+                       config_overrides={"num_rounds": 2,
+                                         "fault_policy": {"max_retries": 1},
+                                         "faults": {"seed": 3, "crash_rate": 0.3}},
+                       seeds=[0])
+        with pytest.raises(ValueError, match="fault_policy"):
+            Runner().run(spec)
 
     def test_event_budget_guard(self, tiny_bundle, tiny_clients, tiny_model_fn):
         sim = AsyncFederatedSimulation(

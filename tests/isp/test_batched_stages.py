@@ -1,9 +1,10 @@
 """Golden scalar-vs-batched equivalence for every ISP stage (Table 3).
 
-The batched capture engine's hard guarantee: for every method of all six ISP
-stages — and for the composed pipeline, the RAW path and the resize — the
-batched ``(N, ...)`` kernel output is *bitwise* equal to running the per-image
-scalar function on each batch member.  A second family of tests pins the
+Each ISP stage has one method table, one batched dispatcher and a per-image
+entry point that is that dispatcher at N=1.  The hard guarantee: for every
+method of all six stages — and for the composed pipeline, the RAW path and the
+resize — the batched ``(N, ...)`` output is *bitwise* equal to running the
+per-image entry point on each batch member.  A second family of tests pins the
 kernels to the legacy per-image formulations they replaced (``ndimage``'s
 rank filter, ``np.histogram``/``np.interp``) so silent numeric drift in a
 reimplementation cannot hide behind the shared-kernel equivalence.
@@ -20,8 +21,10 @@ from repro.isp.filters import median_filter_3x3
 from repro.isp.gamut import GAMUT_METHODS, gamut_map, gamut_map_batch
 from repro.isp.pipeline import (
     BASELINE_CONFIG,
+    ISP_STAGES,
     OPTION1_CONFIG,
     OPTION2_CONFIG,
+    ISPConfig,
     ISPPipeline,
     stage_variants,
 )
@@ -52,44 +55,64 @@ def assert_batch_equals_scalar(batch_out, scalar_fn, items):
         np.testing.assert_array_equal(batch_out[index], scalar_fn(item))
 
 
+# Per ISP stage: its one method table, its batched dispatcher, its per-image
+# entry point, and the seed of its test batch.
+STAGES = {
+    "demosaic": (DEMOSAIC_METHODS, demosaic_batch, demosaic, 1),
+    "denoise": (DENOISE_METHODS, denoise_batch, denoise, 2),
+    "white_balance": (WHITE_BALANCE_METHODS, white_balance_batch, white_balance, 3),
+    "gamut": (GAMUT_METHODS, gamut_map_batch, gamut_map, 4),
+    "tone": (TONE_METHODS, tone_transform_batch, tone_transform, 5),
+    "compression": (COMPRESSION_METHODS, compress_batch, compress, 6),
+}
+STAGE_METHODS = [(stage, method) for stage, (table, *_) in STAGES.items()
+                 for method in sorted(table)]
+
+
+def stage_batch(stage, n=5):
+    seed = STAGES[stage][3]
+    if stage == "demosaic":
+        return make_raw_batch(n=n, seed=seed)
+    if stage == "compression":
+        return make_batch(n=n, h=20, w=12, seed=seed)  # non-multiple-of-8 planes
+    return make_batch(n=n, seed=seed)
+
+
 class TestStageEquivalence:
-    """Every method of every Table 3 stage: batched == scalar, bit for bit."""
+    """Every method of every Table 3 stage: batched == per-image, bit for bit."""
 
-    @pytest.mark.parametrize("method", sorted(DEMOSAIC_METHODS))
-    def test_demosaic(self, method):
-        raw = make_raw_batch(seed=1)
-        out = demosaic_batch(raw, method)
-        assert_batch_equals_scalar(out, lambda r: demosaic(r, method), list(raw))
+    @pytest.mark.parametrize("stage,method", STAGE_METHODS)
+    def test_batch_equals_per_image(self, stage, method):
+        _, dispatch, per_image, _ = STAGES[stage]
+        batch = stage_batch(stage)
+        out = dispatch(batch, method)
+        assert len(out) == 5
+        assert_batch_equals_scalar(out, lambda item: per_image(item, method), list(batch))
 
-    @pytest.mark.parametrize("method", sorted(DENOISE_METHODS))
-    def test_denoise(self, method):
-        batch = make_batch(seed=2)
-        out = denoise_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: denoise(im, method), batch)
-
-    @pytest.mark.parametrize("method", sorted(WHITE_BALANCE_METHODS))
-    def test_white_balance(self, method):
-        batch = make_batch(seed=3)
-        out = white_balance_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: white_balance(im, method), batch)
-
-    @pytest.mark.parametrize("method", sorted(GAMUT_METHODS))
-    def test_gamut(self, method):
-        batch = make_batch(seed=4)
-        out = gamut_map_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: gamut_map(im, method), batch)
-
-    @pytest.mark.parametrize("method", sorted(TONE_METHODS))
-    def test_tone(self, method):
-        batch = make_batch(seed=5)
-        out = tone_transform_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: tone_transform(im, method), batch)
-
-    @pytest.mark.parametrize("method", sorted(COMPRESSION_METHODS))
-    def test_compression(self, method):
-        batch = make_batch(n=4, h=20, w=12, seed=6)  # non-multiple-of-8 planes
-        out = compress_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: compress(im, method), batch)
+    def test_config_accepts_exactly_each_table(self):
+        """ISPConfig validates against the tables the pipeline runs, and the
+        Fig. 3 grid (with the baseline) covers every method of every table."""
+        candidates = {name for table, *_ in STAGES.values() for name in table} | {"no_such"}
+        configs = [BASELINE_CONFIG, *stage_variants()]
+        assert set(STAGES) == set(ISP_STAGES)
+        for stage, (table, *_) in STAGES.items():
+            accepted = set()
+            for name in candidates:
+                try:
+                    ISPConfig(**{stage: name})
+                except ValueError:
+                    continue
+                accepted.add(name)
+            assert accepted == set(table)
+            with pytest.raises(ValueError) as unknown:
+                ISPConfig(**{stage: "no_such"})
+            assert f"options: {sorted(table)}" in str(unknown.value)
+            assert {getattr(config, stage) for config in configs} == set(table)
+        raw = make_raw_batch(n=2, seed=18)
+        for config in configs:
+            out = ISPPipeline(config).process_batch(raw)
+            assert out.shape == (2, 16, 16, 3)
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestPipelineEquivalence:
@@ -206,7 +229,7 @@ class TestLegacyFormulations:
 
     def test_equalize_matches_legacy_np_interp_formulation(self):
         """The full equalize kernel against the seed's np.histogram/np.interp code."""
-        from repro.isp.tone import srgb_gamma, tone_equalize
+        from repro.isp.tone import srgb_gamma, tone_equalize_batch
 
         rng = np.random.default_rng(16)
         image = rng.random((16, 16, 3)) * 0.4
@@ -220,7 +243,7 @@ class TestLegacyFormulations:
         ratio = equalized_lum / np.maximum(luminance, 1e-6)
         legacy = np.clip(encoded * ratio[..., None], 0.0, 1.0)
 
-        np.testing.assert_array_equal(tone_equalize(image), legacy)
+        np.testing.assert_array_equal(tone_equalize_batch(image[None])[0], legacy)
 
 
 class TestBatchValidation:
@@ -245,15 +268,16 @@ class TestBatchValidation:
         with pytest.raises(ValueError):
             dispatch(np.zeros((8, 8, 3)))
 
-    @pytest.mark.parametrize("dispatch", [denoise_batch, white_balance_batch, gamut_map_batch,
-                                          tone_transform_batch, compress_batch])
-    def test_unknown_method_raises(self, dispatch):
-        with pytest.raises(ValueError):
-            dispatch(make_batch(n=2), "no_such_method")
-
-    def test_unknown_demosaic_method_raises(self):
-        with pytest.raises(ValueError):
-            demosaic_batch(make_raw_batch(n=2), "no_such_method")
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_unknown_method_same_error_from_both_entry_points(self, stage):
+        table, dispatch, per_image, _ = STAGES[stage]
+        batch = stage_batch(stage, n=2)
+        with pytest.raises(ValueError, match="no_such_method") as batched:
+            dispatch(batch, "no_such_method")
+        with pytest.raises(ValueError) as single:
+            per_image(list(batch)[0], "no_such_method")
+        assert str(single.value) == str(batched.value)
+        assert str(sorted(table)) in str(batched.value)
 
     def test_channel_masks_consistent_with_raw_image(self):
         raw = make_raw_batch(n=2, pattern="GBRG")

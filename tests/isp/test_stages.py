@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isp.compression import COMPRESSION_METHODS, compress, jpeg_compress, quality_to_quant_table
+from repro.isp.compression import (
+    COMPRESSION_METHODS,
+    compress,
+    jpeg_compress_batch,
+    quality_to_quant_table,
+)
 from repro.isp.demosaic import DEMOSAIC_METHODS, demosaic
 from repro.isp.denoise import DENOISE_METHODS, denoise
 from repro.isp.gamut import GAMUT_METHODS, gamut_map
 from repro.isp.raw import RawImage, bayer_mosaic
-from repro.isp.tone import TONE_METHODS, apply_gamma, srgb_gamma, srgb_gamma_inverse, tone_transform
-from repro.isp.white_balance import WHITE_BALANCE_METHODS, apply_gains, white_balance
+from repro.isp.tone import TONE_METHODS, srgb_gamma, srgb_gamma_inverse, tone_transform
+from repro.isp.transforms import apply_gamma, apply_white_balance_gains
+from repro.isp.white_balance import WHITE_BALANCE_METHODS, white_balance
 
 
 def make_image(h=16, w=16, seed=0):
@@ -20,6 +26,10 @@ def make_image(h=16, w=16, seed=0):
 
 def make_raw(h=16, w=16, seed=0):
     return RawImage(bayer_mosaic(make_image(h, w, seed)))
+
+
+def jpeg_compress(image, quality):
+    return jpeg_compress_batch(image[None], quality)[0]
 
 
 class TestDemosaic:
@@ -114,7 +124,7 @@ class TestWhiteBalance:
 
     def test_apply_gains(self):
         image = np.full((4, 4, 3), 0.5)
-        out = apply_gains(image, (2.0, 1.0, 0.5))
+        out = apply_white_balance_gains(image, (2.0, 1.0, 0.5))
         np.testing.assert_allclose(out[..., 0], 1.0)
         np.testing.assert_allclose(out[..., 1], 0.5)
         np.testing.assert_allclose(out[..., 2], 0.25)

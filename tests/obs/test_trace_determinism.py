@@ -77,6 +77,16 @@ def test_traced_async_run_matches_untraced_golden(tmp_path):
               entry.events_path.read_text().splitlines()]
     assert any(e.get("vstart") is not None for e in events)
     assert any(e["kind"] == "instant" and e["name"] == "commit" for e in events)
+    # One root "run" span encloses the event loop's batches and the final eval.
+    [run] = [e for e in events if e["name"] == "run"]
+    assert "parent" not in run
+    assert run["attrs"] == {"strategy": "fedbuff", "seed": 0, "commits": 2}
+    enclosed = [e for e in events if e["name"] in ("flush_batch", "evaluate")]
+    assert {e["name"] for e in enclosed} == {"flush_batch", "evaluate"}
+    for event in enclosed:
+        assert event["parent"] == "run"
+        assert run["start"] <= event["start"]
+        assert event["start"] + event["duration"] <= run["start"] + run["duration"]
 
 
 def test_trace_and_profile_share_run_directory_with_untraced(tmp_path):
